@@ -40,6 +40,19 @@ func TestRunSingleFigureGolden(t *testing.T) {
 	golden(t, "fig3_n24_seed5", stdout.Bytes())
 }
 
+// TestRunAllFiguresGolden locks in the whole paper evaluation (RunAll:
+// every figure and ablation table) on a small deterministic corpus, so
+// any change to the compile path the figures run through shows up as a
+// byte diff.
+func TestRunAllFiguresGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-fig", "all", "-n", "64"}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code %d, stderr: %s", code, stderr.String())
+	}
+	golden(t, "all_n64", stdout.Bytes())
+}
+
 // TestRunAllFiguresSmoke runs every experiment end to end on a tiny corpus;
 // the output shape (one table per experiment) is asserted, not the bytes.
 func TestRunAllFiguresSmoke(t *testing.T) {

@@ -80,7 +80,11 @@ func (c *Compiler) prepare(req Request) (Request, error) {
 // byte-identical to the historical Compile path (both run the same staged
 // engine). Results may be served from the session cache; a cached compile
 // runs detached from the requesting context so one cancelled caller
-// cannot poison the shared entry.
+// cannot poison the shared entry, while the caller's wait for it honours
+// ctx: a caller whose context ends first gets ctx.Err(), and the compile
+// still completes into the cache. That holds at every effort — the shared
+// entry of an optimal request is its full proof, so a deadline-cut
+// incumbent is only available uncached.
 func (c *Compiler) Run(ctx context.Context, req Request) (*Result, error) {
 	return c.RunUntil(ctx, req, StageVerify)
 }
@@ -101,14 +105,27 @@ func (c *Compiler) RunUntil(ctx context.Context, req Request, until Stage) (*Res
 	if c.cache == nil {
 		return c.compute(ctx, req, until)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	// The cutoff participates in the key: a partial artifact must never be
 	// replayed as a full compilation or vice versa.
 	key := req.Canonical() + ";until=" + until.String()
-	oc := c.cache.Do(key, func() runOutcome {
-		res, err := c.compute(context.Background(), req, until)
-		return runOutcome{res: res, err: err}
-	})
-	return oc.res, oc.err
+	// The goroutine ends when the shared compile does; the buffered send
+	// lets it finish even after this caller has stopped waiting.
+	ch := make(chan runOutcome, 1)
+	go func() {
+		ch <- c.cache.Do(key, func() runOutcome {
+			res, err := c.compute(context.Background(), req, until)
+			return runOutcome{res: res, err: err}
+		})
+	}()
+	select {
+	case oc := <-ch:
+		return oc.res, oc.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // compute parses and compiles one prepared request.

@@ -3,6 +3,8 @@ package vliwq_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -340,5 +342,78 @@ func TestBatchCancelledBeforeStart(t *testing.T) {
 		if r.Result != nil || !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("request entry %d: %+v", i, r)
 		}
+	}
+}
+
+// heavyLoop is a loop whose verified, exhaustive, 16x-unrolled compile
+// takes long enough (tens of milliseconds) to be joined mid-flight.
+func heavyLoop() string {
+	var b strings.Builder
+	b.WriteString("loop heavy\ntrip 256\n")
+	prev := ""
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "op l%d load\n", i)
+		if prev == "" {
+			prev = fmt.Sprintf("l%d", i)
+			continue
+		}
+		fmt.Fprintf(&b, "op m%d mul %s l%d\n", i, prev, i)
+		prev = fmt.Sprintf("m%d", i)
+	}
+	fmt.Fprintf(&b, "op st store %s\n", prev)
+	return b.String()
+}
+
+// TestCachedRunHonoursCallerContext: a caller joining an in-flight cached
+// compile stops waiting when its own context is cancelled and gets
+// ctx.Err(), while the shared compile runs on detached, completes, and is
+// cached for the next caller.
+func TestCachedRunHonoursCallerContext(t *testing.T) {
+	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "clustered:4"})
+	req := vliwq.Request{Loop: heavyLoop(), UnrollFactor: 16, Effort: "exhaustive"}
+
+	type outcome struct {
+		res *vliwq.Result
+		err error
+	}
+	leader := make(chan outcome, 1)
+	go func() {
+		res, err := compiler.Run(context.Background(), req)
+		leader <- outcome{res, err}
+	}()
+	for compiler.Stats().Misses == 0 { // the leader owns the entry
+		runtime.Gosched()
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	joiner := make(chan outcome, 1)
+	go func() {
+		res, err := compiler.Run(ctx, req)
+		joiner <- outcome{res, err}
+	}()
+	for compiler.Stats().Hits == 0 { // the joiner found the entry in flight
+		runtime.Gosched()
+	}
+	cancel()
+	j := <-joiner
+	if j.res != nil || !errors.Is(j.err, context.Canceled) {
+		t.Fatalf("cancelled joiner got (%v, %v), want context.Canceled", j.res, j.err)
+	}
+	select {
+	case <-leader:
+		t.Fatal("the leader finished before the joiner was cancelled; the compile is too light to test the wait")
+	default:
+	}
+
+	l := <-leader
+	if l.err != nil {
+		t.Fatalf("leader: %v", l.err)
+	}
+	again, err := compiler.Run(context.Background(), req)
+	if err != nil || again != l.res {
+		t.Fatalf("completed compile was not cached: (%p, %v) vs leader %p", again, err, l.res)
+	}
+	if st := compiler.Stats(); st.Misses != 1 {
+		t.Fatalf("session compiled %d times, want 1", st.Misses)
 	}
 }

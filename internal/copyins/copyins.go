@@ -24,11 +24,19 @@ const (
 	// Chain builds a linear chain: each copy feeds one consumer and the
 	// next copy. Used by the ablation benchmark; adds O(n) depth.
 	Chain
+	// None inserts no copies: Insert returns an unmodified clone. The
+	// paper's "without copy operations" baselines (Fig. 3, the copy-cost
+	// table) use it; it has no wire spelling, so requests cannot select
+	// it.
+	None
 )
 
 func (s Shape) String() string {
-	if s == Chain {
+	switch s {
+	case Chain:
 		return "chain"
+	case None:
+		return "none"
 	}
 	return "tree"
 }
@@ -44,13 +52,17 @@ type Result struct {
 // Insert returns a copy of the loop in which every value with more than one
 // flow consumer is routed through a fanout tree of copy operations. The
 // input loop is not modified. Loops already satisfying the single-consumer
-// property are returned as an unmodified clone with CopiesAdded == 0.
+// property, and every loop under shape None, are returned as an unmodified
+// clone with CopiesAdded == 0.
 func Insert(l *ir.Loop, shape Shape) (*Result, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
 	out := l.Clone()
 	res := &Result{Loop: out}
+	if shape == None {
+		return res, nil
+	}
 
 	// Iterate over the original producer IDs; newly added copies always
 	// have exactly two consumers by construction... except the tree

@@ -8,17 +8,27 @@ import (
 	"vliwq/internal/sim"
 )
 
+// TestInsertSingleConsumerUntouched: a loop with no multi-consumer value,
+// and any loop under shape None, comes back as an unmodified clone.
 func TestInsertSingleConsumerUntouched(t *testing.T) {
-	l := corpus.Daxpy() // straight chain, fanout 1 everywhere
-	res, err := Insert(l, Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CopiesAdded != 0 || res.ValuesFanned != 0 {
-		t.Fatalf("chain loop got %d copies", res.CopiesAdded)
-	}
-	if len(res.Loop.Ops) != len(l.Ops) {
-		t.Fatal("op count changed")
+	for _, c := range []struct {
+		name  string
+		l     *ir.Loop
+		shape Shape
+	}{
+		{"straight chain", corpus.Daxpy(), Tree}, // fanout 1 everywhere
+		{"fanout under None", corpus.ComplexMul(), None},
+	} {
+		res, err := Insert(c.l, c.shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CopiesAdded != 0 || res.ValuesFanned != 0 {
+			t.Fatalf("%s: got %d copies", c.name, res.CopiesAdded)
+		}
+		if res.Loop == c.l || ir.FormatString(res.Loop) != ir.FormatString(c.l) {
+			t.Fatalf("%s: not an unmodified clone", c.name)
+		}
 	}
 }
 

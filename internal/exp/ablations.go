@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"vliwq"
 	"vliwq/internal/copyins"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -26,12 +27,12 @@ func AblationCopyShape(opts Options) *Table {
 		scT, scC int
 		qT, qC   int
 	}
-	compTree := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
-	compChain := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Chain})
+	compTree := opts.compiler(vliwq.Options{Machine: cfg})
+	compChain := opts.compiler(vliwq.Options{Machine: cfg, CopyShape: copyins.Chain})
 	results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-		tr := compTree(l)
-		ch := compChain(l)
-		if tr.Err != nil || ch.Err != nil {
+		tr, errTree := compTree(l)
+		ch, errChain := compChain(l)
+		if errTree != nil || errChain != nil {
 			return res{}
 		}
 		return res{
@@ -91,14 +92,19 @@ func AblationMoveOps(opts Options) *Table {
 			sameOff, sameOn bool
 			moves           int
 		}
-		compRef := opts.compiler(single, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
-		compOff := opts.compiler(base, pipeOpts{unroll: true, copies: true, shape: copyins.Tree, factorFrom: &single})
-		compOn := opts.compiler(withMoves, pipeOpts{unroll: true, copies: true, shape: copyins.Tree, factorFrom: &single})
+		compRef := opts.compiler(vliwq.Options{Machine: single, Unroll: true})
+		compOff := opts.factorCompilers(vliwq.Options{Machine: base})
+		compOn := opts.factorCompilers(vliwq.Options{Machine: withMoves})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			ref := compRef(l)
-			off := compOff(l)
-			on := compOn(l)
-			if ref.Err != nil || off.Err != nil || on.Err != nil {
+			// Both clustered variants are forced to the factor AutoFactor
+			// chose for the single-cluster reference.
+			ref, err := compRef(l)
+			if err != nil {
+				return res{}
+			}
+			off, errOff := compOff[ref.Unrolled](l)
+			on, errOn := compOn[ref.Unrolled](l)
+			if errOff != nil || errOn != nil {
 				return res{}
 			}
 			moves := 0
@@ -155,18 +161,18 @@ func AblationCommLatency(opts Options) *Table {
 		iis [3]int
 	}
 	lats := []int{0, 1, 2}
-	comps := make([]func(*ir.Loop) compiled, len(lats))
+	comps := make([]func(*ir.Loop) (*vliwq.Result, error), len(lats))
 	for i, lat := range lats {
 		cfg := machine.Clustered(4)
 		cfg.CommLatency = lat
-		comps[i] = opts.compiler(cfg, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		comps[i] = opts.compiler(vliwq.Options{Machine: cfg, Unroll: true})
 	}
 	results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 		var r res
 		r.ok = true
 		for i := range lats {
-			c := comps[i](l)
-			if c.Err != nil {
+			c, err := comps[i](l)
+			if err != nil {
 				return res{}
 			}
 			r.iis[i] = c.Sched.II

@@ -10,19 +10,14 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"text/tabwriter"
-	"time"
 
 	"vliwq"
 	"vliwq/internal/cache"
-	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
-	"vliwq/internal/machine"
 	"vliwq/internal/pool"
-	"vliwq/internal/queue"
 	"vliwq/internal/sched"
 	"vliwq/internal/unroll"
 )
@@ -104,56 +99,31 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// compiled is one loop pushed through the full pipeline.
-type compiled struct {
-	Loop   *ir.Loop // original loop
-	Factor int      // unroll factor applied
-	Sched  *sched.Schedule
-	Alloc  *queue.Allocation
-	Err    error
-}
-
-// pipeline options for compileLoop.
-type pipeOpts struct {
-	unroll     bool
-	copies     bool
-	shape      copyins.Shape
-	schedOpts  sched.Options
-	factorFrom *machine.Config // machine used for AutoFactor; nil = target
-}
-
-// Pipeline is a concurrency-safe memo of compileLoop results, keyed by the
-// loop's identity plus digests of the machine configuration and pipeline
-// options. Results are shared pointers and must be treated as read-only —
-// which every experiment already does, since compiled loops, schedules and
-// allocations are never mutated after compilation. The storage is a sharded
+// Pipeline is a concurrency-safe memo of compilations, keyed by the loop's
+// identity plus a digest of the vliwq.Options it was compiled under. Every
+// compilation runs through the library's staged engine (vliwq.CompileContext)
+// with the simulator off, so figure schedules pass the same structural
+// Schedule.Verify and Allocation.Verify checks as every other compile.
+// Results are shared pointers and must be treated as read-only — which
+// every experiment already does. The storage is a sharded
 // internal/cache.Cache, so concurrent workers contend per shard and each
 // distinct compilation runs exactly once behind its entry's sync.Once.
 type Pipeline struct {
-	c *cache.Cache[pipeKey, compiled]
+	c *cache.Cache[pipeKey, vliwq.BatchResult]
 
-	// stageNanos accumulates, per vliwq.Stage, the wall-clock time actual
-	// compilations (cache misses) spent in that stage — the same
-	// observability the staged facade engine reports in Result.Stages,
-	// threaded through the experiment sweeps so `vliwexp -stage-times`
-	// can show where a figure run's time went.
+	// stageNanos accumulates, per vliwq.Stage, the Result.Stages clocks of
+	// actual compilations (cache misses), so `vliwexp -stage-times` can
+	// show where a figure run's time went.
 	stageNanos [vliwq.NumStages]atomic.Int64
 }
 
 // NewPipeline returns an empty, unbounded compilation cache.
 func NewPipeline() *Pipeline {
-	return &Pipeline{c: cache.New[pipeKey, compiled](cache.Options{}, hashPipeKey)}
+	return &Pipeline{c: cache.New[pipeKey, vliwq.BatchResult](cache.Options{}, hashPipeKey)}
 }
 
 // Stats snapshots the cache counters (hits, misses, entries).
 func (p *Pipeline) Stats() cache.Stats { return p.c.Stats() }
-
-// record adds one stage's wall-clock cost; a nil Pipeline drops it.
-func (p *Pipeline) record(st vliwq.Stage, t0 time.Time) {
-	if p != nil {
-		p.stageNanos[st].Add(time.Since(t0).Nanoseconds())
-	}
-}
 
 // StageNanos reports the accumulated per-stage compile time, keyed by
 // stage name (vliwq.Stage.String). Only stages with nonzero time appear.
@@ -167,163 +137,82 @@ func (p *Pipeline) StageNanos() map[string]int64 {
 	return out
 }
 
-// hashPipeKey spreads compilations over cache shards. Loop names are unique
-// within a corpus and carry most of the entropy; the config digest and the
-// option fields keep same-loop sweeps from piling onto one shard. Equality
-// is still the full pipeKey — the hash only picks the shard.
-func hashPipeKey(k pipeKey) uint64 {
-	h := cache.StringHash(k.loop.Name)
-	h ^= cache.StringHash(k.cfg)
-	h ^= cache.StringHash(k.opts.factorFrom)
-	h ^= cache.StringHash(k.opts.strategies)
-	mix := uint64(k.opts.maxII)<<32 | uint64(uint32(k.opts.budget))<<3 | uint64(k.opts.shape)<<2
-	mix ^= uint64(k.opts.effort) << 24
-	if k.opts.unroll {
-		mix |= 2
-	}
-	if k.opts.copies {
-		mix |= 1
-	}
-	return h ^ (mix * 1099511628211)
-}
-
 // pipeKey identifies one compilation. The loop is keyed by pointer: all
 // experiments sharing a Pipeline also share their corpus slice (RunAll uses
 // one Options value; corpus.Standard is memoized), so pointer identity is
 // exactly loop identity and avoids hashing whole dependence graphs.
 type pipeKey struct {
 	loop *ir.Loop
-	cfg  string
-	opts pipeOptsKey
+	opts string // optionsDigest of the compile's vliwq.Options
+	hash uint64 // cache.StringHash(opts), computed once per binding
 }
 
-// pipeOptsKey is the comparable digest of pipeOpts. Every field of
-// sched.Options that changes schedules participates (effort and the
-// explicit strategy list do; RaceWorkers deliberately does not — it only
-// changes wall-clock).
-type pipeOptsKey struct {
-	unroll, copies bool
-	shape          copyins.Shape
-	maxII, budget  int
-	effort         sched.Effort
-	strategies     string // explicit sched.Options.Strategies, one byte per entry
-	factorFrom     string // configDigest of the AutoFactor machine, or ""
+// hashPipeKey spreads compilations over cache shards. Equality is still
+// the full pipeKey — the hash only picks the shard.
+func hashPipeKey(k pipeKey) uint64 { return cache.StringHash(k.loop.Name) ^ k.hash }
+
+// optionsDigest renders every field of the compile options, the machine's
+// name and cluster layout included, into a comparable key. It is built
+// from the struct mechanically, so a field added to vliwq.Options or
+// sched.Options keys the cache without anyone remembering to add it.
+// RaceWorkers is cleared first: it only changes wall-clock, never the
+// schedule.
+func optionsDigest(vo vliwq.Options) string {
+	vo.Sched.RaceWorkers = 0
+	return fmt.Sprintf("%#v", vo)
 }
 
-// configDigest renders every schedule-relevant Config field into a
-// comparable key. The name participates too: it appears in scheduler error
-// strings, so two same-shape machines with different names are not
-// interchangeable byte-for-byte.
-func configDigest(c *machine.Config) string {
-	var b strings.Builder
-	b.WriteString(c.Name)
-	for _, cl := range c.Clusters {
-		fmt.Fprintf(&b, ";%v|%d|%d", cl.FUs, cl.PrivateQueues, cl.QueueDepth)
-	}
-	fmt.Fprintf(&b, ";r%d;l%d;m%t", c.RingQueues, c.CommLatency, c.AllowMoves)
-	return b.String()
-}
-
-func optsKey(po pipeOpts) pipeOptsKey {
-	k := pipeOptsKey{
-		unroll: po.unroll,
-		copies: po.copies,
-		shape:  po.shape,
-		maxII:  po.schedOpts.MaxII,
-		budget: po.schedOpts.BudgetRatio,
-		effort: po.schedOpts.Effort,
-	}
-	if len(po.schedOpts.Strategies) > 0 {
-		b := make([]byte, len(po.schedOpts.Strategies))
-		for i, s := range po.schedOpts.Strategies {
-			b[i] = byte(s)
-		}
-		k.strategies = string(b)
-	}
-	if po.factorFrom != nil {
-		k.factorFrom = configDigest(po.factorFrom)
-	}
-	return k
-}
-
-// compile returns the memoized compilation of (l, cfg, po), computing it on
-// first use. A nil Pipeline compiles directly. Sweeps over many loops with
-// one configuration should bind Options.compiler instead, which digests the
-// configuration once.
-func (p *Pipeline) compile(l *ir.Loop, cfg machine.Config, po pipeOpts) compiled {
-	if p == nil {
-		return compileLoop(l, cfg, po, nil)
-	}
-	k := pipeKey{loop: l, cfg: configDigest(&cfg), opts: optsKey(po)}
-	return p.c.Do(k, func() compiled { return compileLoop(l, cfg, po, p) })
-}
-
-// compiler binds (cfg, po) and returns the per-loop compile function the
-// experiments use inside their corpus sweeps. The cache-key digests are
-// computed once here rather than once per loop, so the per-loop cache hit
-// is just a map lookup.
-func (o Options) compiler(cfg machine.Config, po pipeOpts) func(*ir.Loop) compiled {
-	// The sweep-wide effort applies to every experiment that does not pin
-	// its own (EffortFast is the zero value, so a pinned fast row is
+// compiler binds the compile options and returns the per-loop compile
+// function the experiments use inside their corpus sweeps. Verification
+// by simulation is always off (the figures' cost is the schedules, not the
+// simulator); the sweep-wide Options.Effort applies unless vo pins its
+// own. The options are digested once here rather than once per loop, so
+// the per-loop cache hit is just a map lookup.
+func (o Options) compiler(vo vliwq.Options) func(*ir.Loop) (*vliwq.Result, error) {
+	vo.SkipVerify = true
+	// EffortFast is the zero value, so a pinned fast row is
 	// indistinguishable from "unset" — the portfolio sweep clears the
-	// sweep-wide effort before building its compilers instead).
-	if po.schedOpts.Effort == sched.EffortFast {
-		po.schedOpts.Effort = o.Effort
+	// sweep-wide effort before building its compilers instead.
+	if vo.Sched.Effort == sched.EffortFast {
+		vo.Sched.Effort = o.Effort
 	}
 	p := o.Pipeline
 	if p == nil {
-		return func(l *ir.Loop) compiled { return compileLoop(l, cfg, po, nil) }
+		return func(l *ir.Loop) (*vliwq.Result, error) {
+			return vliwq.CompileContext(context.Background(), l, vo)
+		}
 	}
-	cfgD := configDigest(&cfg)
-	optsD := optsKey(po)
-	return func(l *ir.Loop) compiled {
-		k := pipeKey{loop: l, cfg: cfgD, opts: optsD}
-		return p.c.Do(k, func() compiled { return compileLoop(l, cfg, po, p) })
+	d := optionsDigest(vo)
+	h := cache.StringHash(d)
+	return func(l *ir.Loop) (*vliwq.Result, error) {
+		br := p.c.Do(pipeKey{loop: l, opts: d, hash: h}, func() vliwq.BatchResult {
+			r, err := vliwq.CompileContext(context.Background(), l, vo)
+			if err != nil {
+				return vliwq.BatchResult{Err: err}
+			}
+			for _, st := range r.Stages {
+				p.stageNanos[st.Stage].Add(st.Duration.Nanoseconds())
+			}
+			// The memo retains what the figures read — schedule,
+			// allocation, factor — not the intermediate bodies.
+			r.AfterUnroll, r.AfterCopies, r.Stages = nil, nil, nil
+			return vliwq.BatchResult{Result: r}
+		})
+		return br.Result, br.Err
 	}
 }
 
-// compileLoop runs unroll -> copy insertion -> scheduling -> allocation,
-// stamping each stage's wall clock into p (nil drops the timings).
-func compileLoop(l *ir.Loop, cfg machine.Config, po pipeOpts, p *Pipeline) compiled {
-	c := compiled{Loop: l, Factor: 1}
-	work := l
-	t0 := time.Now()
-	if po.unroll {
-		fm := cfg
-		if po.factorFrom != nil {
-			fm = *po.factorFrom
-		}
-		c.Factor = unroll.AutoFactor(l, fm)
-		u, err := unroll.Unroll(l, c.Factor)
-		if err != nil {
-			c.Err = err
-			return c
-		}
-		work = u
+// factorCompilers binds one compiler per forced unroll factor, indexed by
+// factor (1..unroll.MaxAutoFactor; factor 1 does not unroll). Sweeps that
+// unroll a loop by the factor another machine chose index it with that
+// factor, keeping the options digest out of the per-loop path.
+func (o Options) factorCompilers(vo vliwq.Options) []func(*ir.Loop) (*vliwq.Result, error) {
+	out := make([]func(*ir.Loop) (*vliwq.Result, error), unroll.MaxAutoFactor+1)
+	for f := 1; f < len(out); f++ {
+		vo.UnrollFactor = f
+		out[f] = o.compiler(vo)
 	}
-	p.record(vliwq.StageUnroll, t0)
-	if po.copies {
-		t0 = time.Now()
-		ins, err := copyins.Insert(work, po.shape)
-		if err != nil {
-			c.Err = err
-			return c
-		}
-		work = ins.Loop
-		p.record(vliwq.StageCopies, t0)
-	}
-	t0 = time.Now()
-	s, err := sched.ScheduleLoop(work, cfg, po.schedOpts)
-	if err != nil {
-		c.Err = err
-		return c
-	}
-	c.Sched = s
-	p.record(vliwq.StageSchedule, t0)
-	t0 = time.Now()
-	c.Alloc = queue.Allocate(s)
-	p.record(vliwq.StageAlloc, t0)
-	return c
+	return out
 }
 
 // forEach compiles fn over the corpus on the shared fixed worker pool

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"vliwq"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
+	"vliwq/internal/unroll"
 )
 
 // small keeps experiment tests fast while exercising every code path.
@@ -242,14 +244,28 @@ func TestForEachOrderAndParallelism(t *testing.T) {
 	}
 }
 
+// TestCompileLoopFactorFrom: a clustered compile can take its unroll
+// factor from another machine. factorCompilers' entry f forces factor f
+// (1 = no unrolling), so indexing it by a single-cluster compile's factor
+// unrolls the clustered body exactly as the single-cluster machine did.
 func TestCompileLoopFactorFrom(t *testing.T) {
 	l := corpus.Stencil3()
-	single := machine.SingleCluster(12)
-	c := compileLoop(l, machine.Clustered(4), pipeOpts{unroll: true, copies: true, factorFrom: &single}, nil)
-	if c.Err != nil {
-		t.Fatal(c.Err)
+	opts := Options{Pipeline: NewPipeline()}
+	ref, err := opts.compiler(vliwq.Options{Machine: machine.SingleCluster(12), Unroll: true})(l)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Factor < 1 {
-		t.Fatalf("factor %d", c.Factor)
+	if want := unroll.AutoFactor(l, machine.SingleCluster(12)); ref.Unrolled != want {
+		t.Fatalf("reference factor %d, AutoFactor %d", ref.Unrolled, want)
+	}
+	comps := opts.factorCompilers(vliwq.Options{Machine: machine.Clustered(4)})
+	for f := 1; f < len(comps); f++ {
+		r, err := comps[f](l)
+		if err != nil {
+			t.Fatalf("factor %d: %v", f, err)
+		}
+		if r.Unrolled != f || r.Sched.Loop.UnrollFactor() != f {
+			t.Fatalf("factor %d compiled at %d (body x%d)", f, r.Unrolled, r.Sched.Loop.UnrollFactor())
+		}
 	}
 }

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"vliwq"
 	"vliwq/internal/copyins"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -31,10 +32,14 @@ func Fig3(opts Options) *Table {
 				queues int
 				failed bool
 			}
-			comp := opts.compiler(cfg, pipeOpts{copies: withCopies, shape: copyins.Tree})
+			vo := vliwq.Options{Machine: cfg}
+			if !withCopies {
+				vo.CopyShape = copyins.None
+			}
+			comp := opts.compiler(vo)
 			results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-				c := comp(l)
-				if c.Err != nil {
+				c, err := comp(l)
+				if err != nil {
 					return res{failed: true}
 				}
 				return res{queues: c.Alloc.MaxPrivateQueues()}
@@ -87,12 +92,12 @@ func CopyCost(opts Options) *Table {
 			iiGrowth       float64
 			copies         int
 		}
-		compBase := opts.compiler(cfg, pipeOpts{})
-		compWith := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
+		compBase := opts.compiler(vliwq.Options{Machine: cfg, CopyShape: copyins.None})
+		compWith := opts.compiler(vliwq.Options{Machine: cfg})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			base := compBase(l)
-			with := compWith(l)
-			if base.Err != nil || with.Err != nil {
+			base, errBase := compBase(l)
+			with, errWith := compWith(l)
+			if errBase != nil || errWith != nil {
 				return res{}
 			}
 			nCopies := 0

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"vliwq/internal/copyins"
+	"vliwq"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 	"vliwq/internal/metrics"
@@ -28,19 +28,19 @@ func Fig4(opts Options) *Table {
 			factor   int
 			unrolled bool
 		}
-		compBase := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
-		compUnrl := opts.compiler(cfg, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		compBase := opts.compiler(vliwq.Options{Machine: cfg})
+		compUnrl := opts.compiler(vliwq.Options{Machine: cfg, Unroll: true})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			base := compBase(l)
-			un := compUnrl(l)
-			if base.Err != nil || un.Err != nil {
+			base, errBase := compBase(l)
+			un, errUnrl := compUnrl(l)
+			if errBase != nil || errUnrl != nil {
 				return res{}
 			}
 			return res{
 				ok:       true,
-				speedup:  metrics.IISpeedup(base.Sched.II, un.Factor, un.Sched.II),
-				factor:   un.Factor,
-				unrolled: un.Factor > 1,
+				speedup:  metrics.IISpeedup(base.Sched.II, un.Unrolled, un.Sched.II),
+				factor:   un.Unrolled,
+				unrolled: un.Unrolled > 1,
 			}
 		})
 		var ok, improved, unrolled, factors int
@@ -88,12 +88,12 @@ func UnrollQueues(opts Options) *Table {
 			ok           bool
 			qBase, qUnrl int
 		}
-		compBase := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
-		compUnrl := opts.compiler(cfg, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		compBase := opts.compiler(vliwq.Options{Machine: cfg})
+		compUnrl := opts.compiler(vliwq.Options{Machine: cfg, Unroll: true})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			base := compBase(l)
-			un := compUnrl(l)
-			if base.Err != nil || un.Err != nil {
+			base, errBase := compBase(l)
+			un, errUnrl := compUnrl(l)
+			if errBase != nil || errUnrl != nil {
 				return res{}
 			}
 			return res{ok: true, qBase: base.Alloc.MaxPrivateQueues(), qUnrl: un.Alloc.MaxPrivateQueues()}

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"vliwq/internal/copyins"
+	"vliwq"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 )
@@ -28,17 +28,18 @@ func Fig6(opts Options) *Table {
 			delta  int
 			failed bool
 		}
-		compSingle := opts.compiler(single, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
-		compClustered := opts.compiler(clustered, pipeOpts{unroll: true, copies: true, shape: copyins.Tree, factorFrom: &single})
+		compSingle := opts.compiler(vliwq.Options{Machine: single, Unroll: true})
+		compClustered := opts.factorCompilers(vliwq.Options{Machine: clustered})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			// The same transformed body is scheduled on both machines
-			// (total FU mixes match, so AutoFactor agrees).
-			s1 := compSingle(l)
-			if s1.Err != nil {
+			// The same transformed body is scheduled on both machines:
+			// the clustered compile is forced to the factor AutoFactor
+			// chose for the single-cluster machine.
+			s1, err := compSingle(l)
+			if err != nil {
 				return res{failed: true}
 			}
-			s2 := compClustered(l)
-			if s2.Err != nil {
+			s2, err := compClustered[s1.Unrolled](l)
+			if err != nil {
 				return res{failed: true}
 			}
 			return res{ok: true, delta: s2.Sched.II - s1.Sched.II}
@@ -93,10 +94,10 @@ func ClusterResources(opts Options) *Table {
 			priv, ring int
 			depth      int
 		}
-		comp := opts.compiler(clustered, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		comp := opts.compiler(vliwq.Options{Machine: clustered, Unroll: true})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
-			c := comp(l)
-			if c.Err != nil {
+			c, err := comp(l)
+			if err != nil {
 				return res{}
 			}
 			return res{ok: true, priv: c.Alloc.MaxPrivateQueues(), ring: c.Alloc.MaxRingQueues(), depth: c.Alloc.MaxDepth()}

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"vliwq/internal/copyins"
+	"vliwq"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 	"vliwq/internal/metrics"
@@ -29,10 +29,10 @@ func ipcSeries(opts Options, loops []*ir.Loop, title, id string) *Table {
 		ok     bool
 	}
 	measure := func(cfg machine.Config) (staticMean float64, dynIPC float64) {
-		comp := opts.compiler(cfg, pipeOpts{unroll: true, copies: true, shape: copyins.Tree})
+		comp := opts.compiler(vliwq.Options{Machine: cfg, Unroll: true})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) point {
-			c := comp(l)
-			if c.Err != nil {
+			c, err := comp(l)
+			if err != nil {
 				return point{}
 			}
 			u := c.Sched.Loop.UnrollFactor()

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"vliwq/internal/copyins"
+	"vliwq"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
 )
@@ -36,18 +36,19 @@ func AblationInvariants(opts Options) *Table {
 			ratio    float64
 			removed  int
 		}
-		compBase := opts.compiler(cfg, pipeOpts{copies: true, shape: copyins.Tree})
+		compBase := opts.compiler(vliwq.Options{Machine: cfg})
+		// The hoisted variant is a fresh per-call loop: its pointer key
+		// could never hit the shared cache again, so compiling it through
+		// the Pipeline would only pollute the memo.
+		compHoisted := Options{}.compiler(vliwq.Options{Machine: cfg})
 		results := forEach(loops, opts.workers(), func(l *ir.Loop) res {
 			hoisted, removed := hoistInvariants(l)
 			if removed == 0 {
 				return res{ok: true}
 			}
-			base := compBase(l)
-			// The hoisted variant is a fresh per-call loop: its pointer key
-			// could never hit the shared cache again, so compiling it
-			// through the Pipeline would only pollute the memo.
-			hc := compileLoop(hoisted, cfg, pipeOpts{copies: true, shape: copyins.Tree}, nil)
-			if base.Err != nil || hc.Err != nil {
+			base, errBase := compBase(l)
+			hc, errHoisted := compHoisted(hoisted)
+			if errBase != nil || errHoisted != nil {
 				return res{}
 			}
 			return res{

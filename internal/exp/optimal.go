@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"vliwq/internal/copyins"
+	"vliwq"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -48,20 +48,12 @@ func Optimal(opts Options) *Table {
 	}{{4, 2}, {6, 2}} {
 		cfg := machine.Clustered(mc.nc)
 		cfg.CommLatency = mc.cl
-		exC := base.compiler(cfg, pipeOpts{
-			copies:    true,
-			shape:     copyins.Tree,
-			schedOpts: sched.Options{Effort: sched.EffortExhaustive},
-		})
-		optC := base.compiler(cfg, pipeOpts{
-			copies:    true,
-			shape:     copyins.Tree,
-			schedOpts: sched.Options{Effort: sched.EffortOptimal},
-		})
+		exC := base.compiler(vliwq.Options{Machine: cfg, Sched: sched.Options{Effort: sched.EffortExhaustive}})
+		optC := base.compiler(vliwq.Options{Machine: cfg, Sched: sched.Options{Effort: sched.EffortOptimal}})
 		results := forEach(loops, base.workers(), func(l *ir.Loop) res {
-			ex := exC(l)
-			opt := optC(l)
-			if ex.Err != nil || opt.Err != nil {
+			ex, errEx := exC(l)
+			opt, errOpt := optC(l)
+			if errEx != nil || errOpt != nil {
 				return res{}
 			}
 			b := opt.Sched.Bound

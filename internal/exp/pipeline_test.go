@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"testing"
 
+	"vliwq"
 	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
+	"vliwq/internal/ir"
 	"vliwq/internal/machine"
+	"vliwq/internal/sched"
 )
 
 func render(t *Table) string {
@@ -61,30 +64,62 @@ func TestRunAllDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipelineKeySeparation ensures the digests keep distinct machines and
-// pipeline options apart: a cache shared across experiments must never
-// serve a compilation for the wrong configuration.
+// compileWith compiles l through p under vo, the way the experiments'
+// sweeps do.
+func compileWith(p *Pipeline, l *ir.Loop, vo vliwq.Options) (*vliwq.Result, error) {
+	return Options{Pipeline: p}.compiler(vo)(l)
+}
+
+// TestPipelineKeySeparation ensures the options digest keeps distinct
+// machines and compile options apart: a cache shared across experiments
+// must never serve a compilation for the wrong configuration, and options
+// that cannot change the schedule must share one entry.
 func TestPipelineKeySeparation(t *testing.T) {
 	p := NewPipeline()
 	l := corpus.Daxpy()
-	a := p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true, shape: copyins.Tree})
-	b := p.compile(l, machine.SingleCluster(12), pipeOpts{copies: true, shape: copyins.Tree})
-	if a.Err != nil || b.Err != nil {
-		t.Fatalf("compile errors: %v, %v", a.Err, b.Err)
-	}
-	if a.Sched.II == b.Sched.II {
-		t.Fatalf("4-FU and 12-FU compilations collided in the cache (II %d == %d)", a.Sched.II, b.Sched.II)
-	}
 	moves := machine.Clustered(4)
 	moves.AllowMoves = true
-	c := p.compile(l, machine.Clustered(4), pipeOpts{copies: true, shape: copyins.Tree})
-	d := p.compile(l, moves, pipeOpts{copies: true, shape: copyins.Tree})
-	if c.Sched == d.Sched {
-		t.Fatalf("AllowMoves variant shares the base machine's cache entry")
+	raced := vliwq.Options{Machine: machine.SingleCluster(4)}
+	raced.Sched.RaceWorkers = 3
+	results := map[string]*vliwq.Result{}
+	for _, c := range []struct {
+		name string
+		vo   vliwq.Options
+	}{
+		{"single4", vliwq.Options{Machine: machine.SingleCluster(4)}},
+		{"single12", vliwq.Options{Machine: machine.SingleCluster(12)}},
+		{"clustered4", vliwq.Options{Machine: machine.Clustered(4)}},
+		{"moves", vliwq.Options{Machine: moves}},
+		{"no copies", vliwq.Options{Machine: machine.SingleCluster(4), CopyShape: copyins.None}},
+		{"chain", vliwq.Options{Machine: machine.SingleCluster(4), CopyShape: copyins.Chain}},
+		{"factor2", vliwq.Options{Machine: machine.SingleCluster(4), UnrollFactor: 2}},
+		{"balanced", vliwq.Options{Machine: machine.SingleCluster(4), Sched: sched.Options{Effort: sched.EffortBalanced}}},
+		{"raced", raced},
+	} {
+		r, err := compileWith(p, l, c.vo)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		results[c.name] = r
+	}
+	if a, b := results["single4"], results["single12"]; a.Sched.II == b.Sched.II {
+		t.Fatalf("4-FU and 12-FU compilations collided in the cache (II %d == %d)", a.Sched.II, b.Sched.II)
+	}
+	for _, name := range []string{"moves", "no copies", "chain", "factor2", "balanced"} {
+		base := results["single4"]
+		if name == "moves" {
+			base = results["clustered4"]
+		}
+		if results[name] == base {
+			t.Errorf("%s shares its base configuration's cache entry", name)
+		}
+	}
+	// RaceWorkers only changes wall-clock: it must share the entry.
+	if results["raced"] != results["single4"] {
+		t.Error("RaceWorkers split the cache entry")
 	}
 	// Identical inputs must share one entry (pointer-equal results).
-	e := p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true, shape: copyins.Tree})
-	if e.Sched != a.Sched {
+	if again, _ := compileWith(p, l, vliwq.Options{Machine: machine.SingleCluster(4)}); again != results["single4"] {
 		t.Fatalf("identical compilation did not hit the cache")
 	}
 }
@@ -109,8 +144,9 @@ func TestStandardCorpusMemoized(t *testing.T) {
 func TestPipelineStatsCounters(t *testing.T) {
 	p := NewPipeline()
 	l := corpus.Daxpy()
-	p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true})
-	p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true})
+	vo := vliwq.Options{Machine: machine.SingleCluster(4)}
+	compileWith(p, l, vo)
+	compileWith(p, l, vo)
 	st := p.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v, want 1 miss, 1 hit, 1 entry", st)
@@ -118,16 +154,21 @@ func TestPipelineStatsCounters(t *testing.T) {
 }
 
 // TestPipelineStageNanos: the per-stage clocks count actual compilations
-// only — a cache hit adds nothing — and key by the facade's stage names.
+// only — a cache hit adds nothing — key by the facade's stage names, and
+// never include verify: the figures run with the simulator off.
 func TestPipelineStageNanos(t *testing.T) {
 	p := NewPipeline()
 	l := corpus.Daxpy()
-	p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true})
+	vo := vliwq.Options{Machine: machine.SingleCluster(4)}
+	compileWith(p, l, vo)
 	first := p.StageNanos()
 	if first["schedule"] <= 0 || first["alloc"] <= 0 || first["copies"] <= 0 {
 		t.Fatalf("stage nanos missing executed stages: %v", first)
 	}
-	p.compile(l, machine.SingleCluster(4), pipeOpts{copies: true}) // hit
+	if _, ok := first["verify"]; ok {
+		t.Fatalf("the figures compile path ran the simulator: %v", first)
+	}
+	compileWith(p, l, vo) // hit
 	if again := p.StageNanos()["schedule"]; again != first["schedule"] {
 		t.Fatalf("a cache hit advanced the schedule clock: %d -> %d", first["schedule"], again)
 	}

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"vliwq/internal/copyins"
+	"vliwq"
 	"vliwq/internal/corpus"
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
@@ -49,14 +49,10 @@ func Portfolio(opts Options) *Table {
 		for _, nc := range []int{4, 6} {
 			cfg := machine.Clustered(nc)
 			for _, eff := range []sched.Effort{sched.EffortFast, sched.EffortExhaustive} {
-				comp := base.compiler(cfg, pipeOpts{
-					copies:    true,
-					shape:     copyins.Tree,
-					schedOpts: sched.Options{Effort: eff},
-				})
+				comp := base.compiler(vliwq.Options{Machine: cfg, Sched: sched.Options{Effort: eff}})
 				results := forEach(co.loops, base.workers(), func(l *ir.Loop) res {
-					c := comp(l)
-					if c.Err != nil {
+					c, err := comp(l)
+					if err != nil {
 						return res{}
 					}
 					return res{ok: true, gap: c.Sched.II - c.Sched.MII(), strategy: c.Sched.Strategy}

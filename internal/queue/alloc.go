@@ -2,6 +2,7 @@ package queue
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vliwq/internal/sched"
@@ -67,22 +68,22 @@ func Allocate(s *sched.Schedule) *Allocation {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := lts[order[a]], lts[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		x, y := &lts[a], &lts[b]
 		if x.Start != y.Start {
-			return x.Start < y.Start
+			return x.Start - y.Start
 		}
 		if x.End != y.End {
-			return x.End < y.End
+			return x.End - y.End
 		}
-		return x.DepIndex < y.DepIndex
+		return x.DepIndex - y.DepIndex
 	})
 
 	type file struct {
 		queues [][]Lifetime
 	}
 	files := map[Location]*file{}
-	alloc := &Allocation{II: s.II}
+	alloc := &Allocation{II: s.II, Assignments: make([]Assignment, 0, len(lts))}
 	for _, idx := range order {
 		lt := lts[idx]
 		loc := locate(s, lt)
@@ -222,21 +223,40 @@ func (a *Allocation) FitsMachine(s *sched.Schedule) error {
 }
 
 // Verify checks the allocation invariants: every queue's residents are
-// pairwise compatible and every lifetime was assigned exactly once.
+// pairwise compatible. Queues are checked in (location, queue) order, so
+// with several bad queues the error always names the same one.
 func (a *Allocation) Verify() error {
-	type qkey struct {
-		loc Location
-		q   int
+	as := a.Assignments
+	// Sort one key per assignment: location kind, from, to and queue index
+	// packed above the assignment's index. For the small non-negative
+	// values Allocate produces, key order is (location, queue) order.
+	// Larger values may give two queues one key; the pair check below
+	// compares only residents of the same queue, so the verdict stays
+	// exact either way. The index takes the low idxBits bits; an
+	// allocation holds far fewer than 2^26 assignments.
+	const idxBits = 26
+	keys := make([]uint64, len(as))
+	for i := range as {
+		loc := as[i].Loc
+		keys[i] = uint64(loc.Kind)&3<<62 | uint64(loc.From)&0x3ff<<52 | uint64(loc.To)&0x3ff<<42 |
+			uint64(as[i].Queue)&0xffff<<idxBits | uint64(i)
 	}
-	groups := map[qkey][]Lifetime{}
-	for _, as := range a.Assignments {
-		k := qkey{as.Loc, as.Queue}
-		groups[k] = append(groups[k], as.Lifetime)
-	}
-	for k, lts := range groups {
-		if !CompatibleSet(lts, a.II) {
-			return fmt.Errorf("queue: %v queue %d holds incompatible lifetimes", k.loc, k.q)
+	slices.Sort(keys)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>idxBits == keys[lo]>>idxBits {
+			hi++
 		}
+		for p := lo; p < hi; p++ {
+			x := &as[keys[p]&(1<<idxBits-1)]
+			for q := p + 1; q < hi; q++ {
+				y := &as[keys[q]&(1<<idxBits-1)]
+				if x.Loc == y.Loc && x.Queue == y.Queue && !Compatible(x.Lifetime, y.Lifetime, a.II) {
+					return fmt.Errorf("queue: %v queue %d holds incompatible lifetimes", x.Loc, x.Queue)
+				}
+			}
+		}
+		lo = hi
 	}
 	return nil
 }

@@ -134,3 +134,71 @@ func TestMaxDepthMatchesOccupancy(t *testing.T) {
 		t.Fatal("wave2 must keep at least one value resident")
 	}
 }
+
+// TestAllocationVerifyRejections pins Allocation.Verify's verdict and error
+// text. With several incompatible queues the report names the first in
+// (location, queue) order — private files before ring links — on every
+// call.
+func TestAllocationVerifyRejections(t *testing.T) {
+	lt := func(dep, start, end int) queue.Lifetime {
+		return queue.Lifetime{Dep: ir.Dep{From: dep, To: dep + 1}, DepIndex: dep, Start: start, End: end}
+	}
+	qrf := func(c int) queue.Location { return queue.Location{Kind: queue.Private, From: c, To: c} }
+	ring := queue.Location{Kind: queue.Ring, From: 0, To: 1}
+	fine := []queue.Assignment{
+		{Lifetime: lt(0, 0, 2), Loc: qrf(0), Queue: 0},
+		{Lifetime: lt(1, 1, 3), Loc: qrf(0), Queue: 0},
+	}
+	// Same start and length: a FIFO cannot hold both (Theorem 1.1).
+	badRing := []queue.Assignment{
+		{Lifetime: lt(2, 0, 2), Loc: ring, Queue: 1},
+		{Lifetime: lt(3, 0, 2), Loc: ring, Queue: 1},
+	}
+	badQRF := []queue.Assignment{
+		{Lifetime: lt(4, 1, 2), Loc: qrf(1), Queue: 0},
+		{Lifetime: lt(5, 1, 2), Loc: qrf(1), Queue: 0},
+	}
+	cat := func(parts ...[]queue.Assignment) []queue.Assignment {
+		var out []queue.Assignment
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	cases := []struct {
+		name string
+		as   []queue.Assignment
+		want string
+	}{
+		{"compatible", fine, ""},
+		{"empty", nil, ""},
+		{"ring queue", cat(fine, badRing), "queue: ring0->1 queue 1 holds incompatible lifetimes"},
+		{"private before ring", cat(badRing, fine, badQRF), "queue: qrf1 queue 0 holds incompatible lifetimes"},
+		// Queue indices past Verify's packed sort key share a key with
+		// small ones; only residents of the same queue are compared.
+		{"distinct queues sharing a sort key", []queue.Assignment{
+			{Lifetime: lt(0, 0, 2), Loc: qrf(0), Queue: 0},
+			{Lifetime: lt(1, 0, 2), Loc: qrf(0), Queue: 1 << 16},
+		}, ""},
+		{"large queue index", []queue.Assignment{
+			{Lifetime: lt(0, 0, 2), Loc: qrf(0), Queue: 1 << 16},
+			{Lifetime: lt(1, 0, 2), Loc: qrf(0), Queue: 0},
+			{Lifetime: lt(2, 0, 2), Loc: qrf(0), Queue: 1 << 16},
+		}, "queue: qrf0 queue 65536 holds incompatible lifetimes"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a := &queue.Allocation{II: 4, Assignments: c.as}
+			for i := 0; i < 20; i++ {
+				err := a.Verify()
+				got := ""
+				if err != nil {
+					got = err.Error()
+				}
+				if got != c.want {
+					t.Fatalf("Verify = %q, want %q", got, c.want)
+				}
+			}
+		})
+	}
+}

@@ -381,17 +381,16 @@ func (s *Schedule) Verify() error {
 			return fmt.Errorf("sched: dependence violated: %v (slack %d)", d, slack)
 		}
 	}
-	// Resources: at most FUs[class] issues per (cluster, class, row).
-	type key struct {
-		row, cluster int
-		class        machine.FUClass
-	}
-	used := map[key]int{}
+	// Resources: at most FUs[class] issues per (row, cluster, class), one
+	// dense counter per triple.
+	nc := s.Machine.NumClusters()
+	used := make([]int, s.II*nc*int(machine.NumClasses))
 	for id, op := range l.Ops {
-		k := key{s.Time[id] % s.II, s.Cluster[id], machine.ClassOf(op.Kind)}
-		used[k]++
-		if used[k] > s.Machine.FUCount(k.cluster, k.class) {
-			return fmt.Errorf("sched: row %d cluster %d oversubscribes %v", k.row, k.cluster, k.class)
+		row, c, class := s.Time[id]%s.II, s.Cluster[id], machine.ClassOf(op.Kind)
+		limit := s.Machine.FUCount(c, class)
+		i := (row*nc+c)*int(machine.NumClasses) + int(class)
+		if used[i]++; used[i] > limit {
+			return fmt.Errorf("sched: row %d cluster %d oversubscribes %v", row, c, class)
 		}
 	}
 	// Communication: flow dependences only between adjacent clusters.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"vliwq/internal/copyins"
 )
 
 const reqTestLoop = "loop x\ntrip 8\nop a load\nop b load\nop s add a b\nop st store s\n"
@@ -36,6 +38,7 @@ func TestNormalizeRejects(t *testing.T) {
 		{"bad machine", Request{Loop: reqTestLoop, Machine: "mesh:4"}, "unknown machine kind"},
 		{"huge machine", Request{Loop: reqTestLoop, Machine: "clustered:500000000"}, "exceeds"},
 		{"bad shape", Request{Loop: reqTestLoop, CopyShape: "star"}, "unknown copy_shape"},
+		{"no-copies shape has no wire spelling", Request{Loop: reqTestLoop, CopyShape: "none"}, "unknown copy_shape"},
 		{"negative commlat", Request{Loop: reqTestLoop, CommLatency: -1}, "comm_latency"},
 		{"huge unroll factor", Request{Loop: reqTestLoop, UnrollFactor: 65}, "out of range"},
 		{"negative unroll factor", Request{Loop: reqTestLoop, UnrollFactor: -1}, "out of range"},
@@ -167,6 +170,14 @@ func TestNewRequestRoundTrip(t *testing.T) {
 	}
 	if FormatLoop(back) != FormatLoop(loop) {
 		t.Fatal("loop text did not round-trip")
+	}
+	// copyins.None has no wire spelling: the request names it and is
+	// rejected, instead of silently compiling with the tree default.
+	in.CopyShape = copyins.None
+	none := NewRequest(loop, in)
+	if err := none.Normalize(); none.CopyShape != "none" || err == nil ||
+		!strings.Contains(err.Error(), "unknown copy_shape") {
+		t.Fatalf("NewRequest with copyins.None: shape %q, Normalize() = %v", none.CopyShape, err)
 	}
 }
 

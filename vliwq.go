@@ -258,7 +258,7 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	res := &Result{Input: l, Unrolled: 1}
+	res := &Result{Input: l, Unrolled: 1, Stages: make([]StageTiming, 0, NumStages)}
 	stamp := func(st Stage, t0 time.Time) {
 		res.Stages = append(res.Stages, StageTiming{Stage: st, Duration: time.Since(t0)})
 	}
