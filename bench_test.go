@@ -13,10 +13,12 @@ import (
 	"strings"
 	"testing"
 
+	"vliwq"
 	"vliwq/internal/corpus"
 	"vliwq/internal/exp"
 	"vliwq/internal/ir"
 	"vliwq/internal/program"
+	"vliwq/internal/sim"
 )
 
 // benchCorpus is the per-iteration workload: big enough for stable
@@ -211,4 +213,33 @@ func BenchmarkProgramSchedule(b *testing.B) {
 	}
 	b.ReportMetric(float64(last.SumII()), "sumII")
 	b.ReportMetric(float64(last.HardCount()), "hardRegions")
+}
+
+// BenchmarkVerifyPipeline times the verify layer alone: sim.VerifyPipeline
+// (sequential reference, pipelined simulation, store comparison) over the
+// first 64 standard-corpus loops compiled for clustered:4 with unrolling,
+// at the compile path's default iteration count, min(trip, 64). The
+// compiles run once, outside the timer.
+func BenchmarkVerifyPipeline(b *testing.B) {
+	type job struct {
+		res *vliwq.Result
+		n   int
+	}
+	var jobs []job
+	for _, l := range corpus.Standard()[:64] {
+		res, err := vliwq.Compile(l, vliwq.Options{Machine: vliwq.Clustered(4), Unroll: true, SkipVerify: true})
+		if err != nil {
+			b.Fatalf("%s: %v", l.Name, err)
+		}
+		jobs = append(jobs, job{res, min(res.Sched.Loop.TripCount(), 64)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, j := range jobs {
+			if err := sim.VerifyPipeline(j.res.Sched, j.res.Alloc, j.n); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

@@ -1,7 +1,10 @@
 // Command vliwload load-tests a running vliwd — or a vliwgate fleet: it
 // replays corpus loops against /compile (or /batch) at a fixed concurrency
 // for a fixed duration and reports throughput, latency percentiles and an
-// error breakdown, plus the server's own /stats counters. Pointed at a
+// error breakdown, plus the server's own /stats counters. The report
+// header states whether the requests asked for simulator verification
+// ("verify: on|off"; -verify, off by default), since the two modes cost
+// very different amounts per compile. Pointed at a
 // gateway it also prints the per-backend request distribution, which is
 // how CI checks the hash ring actually shards.
 //
@@ -174,6 +177,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pick := func(q float64) time.Duration { return lats[int(q*float64(len(lats)-1))] }
 	fmt.Fprintf(stdout, "vliwload: %d calls (%d loops compiled) in %s, %d failures\n",
 		len(lats), loopsOK.Load(), elapsed.Round(time.Millisecond), failed())
+	mode := "off"
+	if *verify {
+		mode = "on"
+	}
+	fmt.Fprintf(stdout, "verify: %s\n", mode)
 	fmt.Fprintf(stdout, "throughput: %.1f calls/s (%.1f loops/s)\n",
 		float64(len(lats))/elapsed.Seconds(), float64(loopsOK.Load())/elapsed.Seconds())
 	fmt.Fprintf(stdout, "latency: p50=%s p90=%s p99=%s max=%s\n",

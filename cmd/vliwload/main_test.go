@@ -15,8 +15,9 @@ import (
 	"vliwq/internal/service"
 )
 
-// TestRunAgainstGateway points the tool at a vliwgate fleet and checks the
-// report adds the aggregated totals and the per-backend distribution.
+// TestRunAgainstGateway points the tool at a vliwgate fleet with
+// verification requested and checks the report states that mode and adds
+// the aggregated totals and the per-backend distribution.
 func TestRunAgainstGateway(t *testing.T) {
 	b1 := httptest.NewServer(service.New(service.Config{}).Handler())
 	defer b1.Close()
@@ -31,13 +32,14 @@ func TestRunAgainstGateway(t *testing.T) {
 
 	var stdout, stderr bytes.Buffer
 	code := run([]string{
-		"-addr", ts.URL, "-duration", "300ms", "-concurrency", "4", "-n", "16",
+		"-addr", ts.URL, "-duration", "300ms", "-concurrency", "4", "-n", "16", "-verify",
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("exit code %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
 	for _, frag := range []string{
+		"verify: on\n",
 		"errors: 0 ",
 		"gateway: 2 backends",
 		"backend " + b1.URL,
@@ -66,7 +68,7 @@ func TestRunAgainstService(t *testing.T) {
 		t.Fatalf("exit code %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
-	for _, frag := range []string{"vliwload:", "throughput:", "latency: p50=", "cache hits=", "structural: hits="} {
+	for _, frag := range []string{"vliwload:", "verify: off\n", "throughput:", "latency: p50=", "cache hits=", "structural: hits="} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("report missing %q:\n%s", frag, out)
 		}
