@@ -3,8 +3,9 @@
 // for a fixed duration and reports throughput, latency percentiles and an
 // error breakdown, plus the server's own /stats counters. The report
 // header states whether the requests asked for simulator verification
-// ("verify: on|off"; -verify, off by default), since the two modes cost
-// very different amounts per compile. Pointed at a
+// ("verify: on|off"; -verify, on by default like the API; -verify=false
+// skips the simulator), since the two modes cost very different amounts
+// per compile. Pointed at a
 // gateway it also prints the per-backend request distribution, which is
 // how CI checks the hash ring actually shards.
 //
@@ -62,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		machineSpec = fs.String("machine", "clustered:4", "machine spec sent with every request")
 		batch       = fs.Int("batch", 0, "requests per /batch call (0 drives /compile)")
 		unrollReq   = fs.Bool("unroll", true, "request automatic unrolling")
-		verify      = fs.Bool("verify", false, "request simulator verification (heavier)")
+		verify      = fs.Bool("verify", true, "request simulator verification, the API default (-verify=false skips it)")
 		effort      = fs.String("effort", "", "scheduler effort sent with every request (empty = server default)")
 		reqBudget   = fs.Duration("deadline", 0, "per-request deadline sent in the "+service.DeadlineHeader+" header (0 = none)")
 	)

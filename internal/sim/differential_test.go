@@ -7,7 +7,11 @@ package sim
 // machines, unroll factors and multi-write settings and demand identical
 // PipeResults on the valid schedules, then break each schedule in small
 // ways and demand the same verdict and the same error text from both.
-// FuzzPipelinedDifferential drives the same comparison from fuzzed inputs.
+// Every schedule and mutant also goes through the whole verify stage:
+// VerifyPipeline (pooled arena, key-ordered store slabs) must match
+// verifyPipelineRef, the map-based Reference, Pipelined and CompareStores
+// it replaced. FuzzPipelinedDifferential drives the same comparison from
+// fuzzed inputs.
 
 import (
 	"fmt"
@@ -146,8 +150,10 @@ var mutations = []mutation{
 }
 
 // diffRun runs both simulators and fails the test unless they agree: the
-// same verdict, the same error text, and DeepEqual results on success. It
-// returns the shared error.
+// same verdict, the same error text, and DeepEqual results on success.
+// Without multi-write it also runs the whole verify stage both ways and
+// demands the same verdict and error text. It returns the simulators'
+// shared error.
 func diffRun(t testing.TB, label string, s *sched.Schedule, a *queue.Allocation, opt PipeOptions) error {
 	t.Helper()
 	got, gotErr := Pipelined(s, a, opt)
@@ -159,6 +165,12 @@ func diffRun(t testing.TB, label string, s *sched.Schedule, a *queue.Allocation,
 		t.Fatalf("%s: results differ: dense cycles=%d issues=%d depth=%d stores=%d, ref cycles=%d issues=%d depth=%d stores=%d",
 			label, got.Cycles, got.Issues, got.MaxDepth, len(got.Stores),
 			want.Cycles, want.Issues, want.MaxDepth, len(want.Stores))
+	}
+	if !opt.AllowMultiWrite {
+		v, vRef := VerifyPipeline(s, a, opt.N), verifyPipelineRef(s, a, opt.N)
+		if fmt.Sprint(v) != fmt.Sprint(vRef) {
+			t.Fatalf("%s: verify verdicts differ:\n arena: %v\n  maps: %v", label, v, vRef)
+		}
 	}
 	return gotErr
 }

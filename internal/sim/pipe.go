@@ -27,10 +27,10 @@ type PipeOptions struct {
 
 // PipeResult is the outcome of a pipelined execution.
 type PipeResult struct {
-	Cycles   int // cycles from first event to pipeline drain
-	Issues   int // operation instances issued
-	Stores   map[StoreKey]int64
-	MaxDepth int // deepest queue occupancy observed
+	Cycles   int     // cycles from first event to pipeline drain
+	Issues   int     // operation instances issued
+	Stores   []Store // every store instance, sorted by key (see Ref.Stores)
+	MaxDepth int     // deepest queue occupancy observed
 }
 
 // tagged is one queue entry: a value and the (producer, iteration) tag
@@ -88,22 +88,40 @@ func drained(qs []fifo) error {
 }
 
 // writeSlot is a flow dependence's entry in the one-II template: producer
-// instance k reaches queue q at cycle base + k*II, for k in [lo, hi).
+// instance k reaches queue q at cycle (blk+k)*II + row, for k in [lo, hi).
 type writeSlot struct {
-	from, q      int
-	base, lo, hi int
+	from, q          int
+	row, blk, lo, hi int
 }
 
 // issueSlot is an operation's entry in the template: instance k issues at
-// cycle base + k*II, for k in [0, n), on FU counter unit.
+// cycle (blk+k)*II + row, for k in [0, n), on FU counter unit.
 type issueSlot struct {
-	op, base, unit int
+	op, row, blk, unit int
+}
+
+// splitCycle splits cycle t into its II-block and its row: t = blk*ii + row
+// with row in [0, ii).
+func splitCycle(t, ii int) (blk, row int) {
+	blk, row = t/ii, t%ii
+	if row < 0 {
+		blk, row = blk-1, row+ii
+	}
+	return blk, row
 }
 
 // operand is one flow input of an operation: the producer, the consumer,
-// the dependence distance and the queue the value travels through.
+// the dependence distance, the dependence index and the queue the value
+// travels through.
 type operand struct {
-	from, to, dist, q int
+	from, to, dist, dep, q int
+}
+
+// queueSlot is a flow dependence's queue, sorted into the queue table.
+type queueSlot struct {
+	loc queue.Location
+	q   int
+	di  int
 }
 
 // Pipelined executes n iterations of the modulo schedule on a cycle-level
@@ -116,15 +134,27 @@ type operand struct {
 // write is bucketed once by its cycle modulo II (writes first, in
 // dependence order, then issues in op order: the order events take within
 // a cycle), and the walk visits each cycle's row, deriving k from the
-// cycle. Values live in a dense op×iteration slab and queues in a dense
-// table of ring buffers numbered in (kind, from, to, queue) order.
+// cycle's II-block. Values live in a dense op×iteration slab, stores in a
+// key-ordered slab (see storeLayout), and queues in a dense table of ring
+// buffers numbered in (kind, from, to, queue) order.
 func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*PipeResult, error) {
-	l := s.Loop
-	if err := s.Verify(); err != nil {
+	var a arena
+	res, err := a.pipelined(s, alloc, opt)
+	if err != nil {
 		return nil, err
 	}
+	return &res, nil
+}
+
+// pipelined is Pipelined on the arena's slabs and tables.
+func (a *arena) pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (PipeResult, error) {
+	var res PipeResult
+	l := s.Loop
+	if err := s.Verify(); err != nil {
+		return res, err
+	}
 	if err := alloc.Verify(); err != nil {
-		return nil, err
+		return res, err
 	}
 	n := opt.N
 	if n <= 0 {
@@ -135,7 +165,8 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 	// Static check: without multi-write support, only copy operations may
 	// feed two queues; everything else must have fanout <= 1.
 	if !opt.AllowMultiWrite {
-		fan := make([]int, len(l.Ops))
+		fan := take(&a.fan, len(l.Ops))
+		clear(fan)
 		for _, d := range l.Deps {
 			if d.Kind == ir.Flow {
 				fan[d.From]++
@@ -147,7 +178,7 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 				limit = 2
 			}
 			if fan[id] > limit {
-				return nil, fmt.Errorf("sim: %v has fanout %d: value needs %d simultaneous writes (run copy insertion or set AllowMultiWrite)",
+				return res, fmt.Errorf("sim: %v has fanout %d: value needs %d simultaneous writes (run copy insertion or set AllowMultiWrite)",
 					l.Ops[id], fan[id], fan[id])
 			}
 		}
@@ -155,7 +186,7 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 
 	// Dependence index -> assignment index; when several assignments name
 	// one dependence the last wins.
-	asOf := make([]int, len(l.Deps))
+	asOf := take(&a.asOf, len(l.Deps))
 	for i := range asOf {
 		asOf[i] = -1
 	}
@@ -164,37 +195,43 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 			asOf[di] = i
 		}
 	}
-	var flow []int // flow dependence indices, in order
+	flow := a.flow[:0] // flow dependence indices, in order
 	for di, d := range l.Deps {
 		if d.Kind != ir.Flow {
 			continue
 		}
 		if asOf[di] < 0 {
-			return nil, fmt.Errorf("sim: dependence %v (index %d) has no queue assignment", d, di)
+			return res, fmt.Errorf("sim: dependence %v (index %d) has no queue assignment", d, di)
 		}
 		flow = append(flow, di)
 	}
-
-	// The dense queue table, one fifo per distinct (location, queue).
-	type slot struct {
-		loc queue.Location
-		q   int
-		di  int
+	a.flow = flow
+	slots, size, err := a.storeLayout(l, n)
+	if err != nil {
+		return res, err
 	}
-	byQueue := make([]slot, len(flow))
+
+	// The dense queue table, one fifo per distinct (location, queue). A
+	// reused arena keeps each table entry's ring buffer.
+	byQueue := take(&a.byQueue, len(flow))
 	for i, di := range flow {
 		as := &alloc.Assignments[asOf[di]]
-		byQueue[i] = slot{as.Loc, as.Queue, di}
+		byQueue[i] = queueSlot{as.Loc, as.Queue, di}
 	}
-	slices.SortFunc(byQueue, func(a, b slot) int { return cmpQueue(a.loc, a.q, b.loc, b.q) })
-	qOf := make([]int, len(l.Deps))
-	var qs []fifo
+	slices.SortFunc(byQueue, func(a, b queueSlot) int { return cmpQueue(a.loc, a.q, b.loc, b.q) })
+	qOf := take(&a.qOf, len(l.Deps))
+	qs := a.qs[:0]
 	for i, sl := range byQueue {
 		if i == 0 || sl.loc != byQueue[i-1].loc || sl.q != byQueue[i-1].q {
-			qs = append(qs, fifo{loc: sl.loc, q: sl.q, depth: depthLimit(&s.Machine, sl.loc)})
+			var buf []tagged
+			if len(qs) < cap(qs) {
+				buf = qs[:len(qs)+1][len(qs)].buf
+			}
+			qs = append(qs, fifo{loc: sl.loc, q: sl.q, depth: depthLimit(&s.Machine, sl.loc), buf: buf})
 		}
 		qOf[sl.di] = len(qs) - 1
 	}
+	a.qs = qs
 
 	// The template: writes and issues bucketed by row = cycle mod II,
 	// stably, so each row keeps dependence and op order.
@@ -202,60 +239,56 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 	span := func(first, last int) {
 		minT, maxT = min(minT, first), max(maxT, last)
 	}
-	row := func(t int) int { return (t%ii + ii) % ii }
-	writes := make([]writeSlot, len(flow))
-	wStart := make([]int, ii+1)
+	writes := take(&a.writeTmp, len(flow))
+	wStart := take(&a.wStart, ii+1)
+	clear(wStart)
 	for i, di := range flow {
 		d := l.Deps[di]
 		base := s.Time[d.From] + l.Ops[d.From].Kind.Latency()
 		if s.Cluster[d.From] != s.Cluster[d.To] {
 			base += s.Machine.CommLatency
 		}
-		writes[i] = writeSlot{from: d.From, q: qOf[di], base: base, lo: -d.Dist, hi: n - d.Dist}
+		blk, row := splitCycle(base, ii)
+		writes[i] = writeSlot{from: d.From, q: qOf[di], row: row, blk: blk, lo: -d.Dist, hi: n - d.Dist}
 		span(base-d.Dist*ii, base+(n-d.Dist-1)*ii)
-		wStart[row(base)+1]++
+		wStart[row+1]++
 	}
-	writes = bucket(writes, wStart, func(w *writeSlot) int { return row(w.base) })
+	writes = bucket(&a.writes, writes, wStart, func(w *writeSlot) int { return w.row })
 
 	nc := s.Machine.NumClusters()
-	units := make([]int, int(machine.NumClasses)*nc) // FU count per unit
+	units := take(&a.units, int(machine.NumClasses)*nc) // FU count per unit
 	for c := 0; c < nc; c++ {
 		for class := machine.FUClass(0); class < machine.NumClasses; class++ {
 			units[int(class)*nc+c] = s.Machine.FUCount(c, class)
 		}
 	}
-	issues := make([]issueSlot, len(l.Ops))
-	iStart := make([]int, ii+1)
-	stores := 0
+	busy := take(&a.busy, len(units))
+	issues := take(&a.issueTmp, len(l.Ops))
+	iStart := take(&a.iStart, ii+1)
+	clear(iStart)
 	for id, op := range l.Ops {
 		base := s.Time[id]
-		issues[id] = issueSlot{op: id, base: base, unit: int(machine.ClassOf(op.Kind))*nc + s.Cluster[id]}
+		blk, row := splitCycle(base, ii)
+		issues[id] = issueSlot{op: id, row: row, blk: blk, unit: int(machine.ClassOf(op.Kind))*nc + s.Cluster[id]}
 		span(base, base+(n-1)*ii)
-		iStart[row(base)+1]++
-		if op.Kind == ir.KStore {
-			stores++
-		}
+		iStart[row+1]++
 	}
-	issues = bucket(issues, iStart, func(is *issueSlot) int { return row(is.base) })
+	issues = bucket(&a.issues, issues, iStart, func(is *issueSlot) int { return is.row })
 
-	// Flow inputs per op, in dependence order.
-	operands := make([]operand, len(flow))
-	inStart := make([]int, len(l.Ops)+1)
-	for i, di := range flow {
-		d := l.Deps[di]
-		operands[i] = operand{from: d.From, to: d.To, dist: d.Dist, q: qOf[di]}
-		inStart[d.To+1]++
+	// Flow inputs per op, in dependence order, with their queues.
+	operands, inStart := a.flowInputs(l)
+	for i := range operands {
+		operands[i].q = qOf[operands[i].dep]
 	}
-	operands = bucket(operands, inStart, func(o *operand) int { return o.to })
 
 	// Execute.
-	values := make([]int64, len(l.Ops)*n) // values[op*n+k]
-	computed := make([]bool, len(l.Ops)*n)
-	busy := make([]int, len(units))
-	res := &PipeResult{Stores: make(map[StoreKey]int64, stores*n)}
-	var args []int64
-	var touched []int // queues written this cycle
-	r := row(minT)
+	values := take(&a.values, len(l.Ops)*n) // values[op*n+k]
+	computed := take(&a.computed, len(l.Ops)*n)
+	clear(computed)
+	stores := take(&a.stores, size)
+	args := a.args
+	touched := a.touched[:0]       // queues written this cycle
+	blk, r := splitCycle(minT, ii) // t = blk*ii + r
 	for t := minT; t <= maxT; t++ {
 		stamp := t - minT + 1
 		// Writes first: a value may be written and read in the same cycle
@@ -263,13 +296,13 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 		// applies because pops always take the head.
 		for i := wStart[r]; i < wStart[r+1]; i++ {
 			w := &writes[i]
-			k := (t - w.base) / ii
+			k := blk - w.blk
 			if k < w.lo || k >= w.hi {
 				continue
 			}
 			f := &qs[w.q]
 			if f.wrote == stamp {
-				return nil, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, f.loc, f.q)
+				return res, fmt.Errorf("sim: cycle %d: two writes to %v queue %d (write-port conflict)", t, f.loc, f.q)
 			}
 			f.wrote = stamp
 			var v int64
@@ -280,7 +313,7 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 			case k < n && computed[w.from*n+k]:
 				v = values[w.from*n+k]
 			default:
-				return nil, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
+				return res, fmt.Errorf("sim: cycle %d: write of %v iteration %d before it was computed",
 					t, l.Ops[w.from], k)
 			}
 			f.push(tagged{prod: w.from, iter: k, val: v})
@@ -292,28 +325,28 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 		}
 		for i := iStart[r]; i < iStart[r+1]; i++ {
 			is := &issues[i]
-			k := (t - is.base) / ii
+			k := blk - is.blk
 			if k < 0 || k >= n {
 				continue
 			}
 			op := l.Ops[is.op]
 			if busy[is.unit]++; busy[is.unit] > units[is.unit] {
-				return nil, fmt.Errorf("sim: cycle %d: cluster %d issues more %v ops than units", t, s.Cluster[is.op], machine.ClassOf(op.Kind))
+				return res, fmt.Errorf("sim: cycle %d: cluster %d issues more %v ops than units", t, s.Cluster[is.op], machine.ClassOf(op.Kind))
 			}
 			args = args[:0]
 			for _, in := range operands[inStart[is.op]:inStart[is.op+1]] {
 				f := &qs[in.q]
 				if f.read == stamp {
-					return nil, fmt.Errorf("sim: cycle %d: two reads from %v queue %d (read-port conflict)", t, f.loc, f.q)
+					return res, fmt.Errorf("sim: cycle %d: two reads from %v queue %d (read-port conflict)", t, f.loc, f.q)
 				}
 				f.read = stamp
 				if f.size == 0 {
-					return nil, fmt.Errorf("sim: cycle %d: %v pops empty %v queue %d", t, op, f.loc, f.q)
+					return res, fmt.Errorf("sim: cycle %d: %v pops empty %v queue %d", t, op, f.loc, f.q)
 				}
 				head := f.pop()
 				wantIter := k - in.dist
 				if head.prod != in.from || head.iter != wantIter {
-					return nil, fmt.Errorf("sim: cycle %d: %v iteration %d expected value (%v,%d), FIFO delivered (%v,%d): Q-compatibility violated",
+					return res, fmt.Errorf("sim: cycle %d: %v iteration %d expected value (%v,%d), FIFO delivered (%v,%d): Q-compatibility violated",
 						t, op, k, l.Ops[in.from], wantIter, l.Ops[head.prod], head.iter)
 				}
 				args = append(args, head.val)
@@ -323,7 +356,7 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 			computed[is.op*n+k] = true
 			res.Issues++
 			if op.Kind == ir.KStore {
-				res.Stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
+				stores[slots[is.op].at(k)] = Store{StoreKey{op.EffID(), l.OrigIter(op, k)}, v}
 			}
 		}
 		// Occupancy accounting and depth limits, after the cycle settles.
@@ -340,39 +373,23 @@ func Pipelined(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (*Pi
 			}
 			if over >= 0 {
 				f := &qs[over]
-				return nil, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, f.loc, f.q, f.depth)
+				return res, fmt.Errorf("sim: cycle %d: %v queue %d exceeds depth %d", t, f.loc, f.q, f.depth)
 			}
 			touched = touched[:0]
 		}
 		if r++; r == ii {
-			r = 0
+			blk, r = blk+1, 0
 		}
 	}
+	a.args, a.touched = args, touched
 	if minT <= maxT {
 		res.Cycles = maxT - minT + 1
 	}
 	if err := drained(qs); err != nil {
-		return nil, err
+		return res, err
 	}
+	res.Stores = stores
 	return res, nil
-}
-
-// bucket reorders slots stably by key (a template row, or an operand's
-// consumer). start arrives holding each key's slot count at start[key+1]
-// and leaves holding the prefix offsets, so key r's slots are
-// out[start[r]:start[r+1]].
-func bucket[T any](slots []T, start []int, keyOf func(*T) int) []T {
-	for r := 1; r < len(start); r++ {
-		start[r] += start[r-1]
-	}
-	fill := slices.Clone(start[:len(start)-1])
-	out := make([]T, len(slots))
-	for i := range slots {
-		r := keyOf(&slots[i])
-		out[fill[r]] = slots[i]
-		fill[r]++
-	}
-	return out
 }
 
 // cmpQueue orders queues by (kind, from, to, queue), the order
@@ -404,21 +421,22 @@ func depthLimit(m *machine.Config, loc queue.Location) int {
 }
 
 // VerifyPipeline runs both executions and compares their stores. It is the
-// end-to-end check used by tests and cmd/vliwsched.
+// end-to-end check used by tests and cmd/vliwsched. Both executions share
+// one pooled arena, so a steady stream of verifications allocates only
+// what the structural Verify calls and the topological sort do.
 func VerifyPipeline(s *sched.Schedule, alloc *queue.Allocation, n int) error {
 	if n <= 0 {
 		n = s.Loop.TripCount()
 	}
-	ref, err := Reference(s.Loop, n)
+	a := arenaPool.Get().(*arena)
+	defer arenaPool.Put(a)
+	_, ref, err := a.reference(s.Loop, n)
 	if err != nil {
 		return err
 	}
-	pipe, err := Pipelined(s, alloc, PipeOptions{N: n})
+	pipe, err := a.pipelined(s, alloc, PipeOptions{N: n})
 	if err != nil {
 		return err
 	}
-	if err := CompareStores(ref.Stores, pipe.Stores, false); err != nil {
-		return err
-	}
-	return nil
+	return CompareStores(ref, pipe.Stores, false)
 }

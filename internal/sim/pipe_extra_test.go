@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"vliwq/internal/copyins"
@@ -104,21 +105,55 @@ func TestPipelineWithMoves(t *testing.T) {
 }
 
 func TestCompareStoresDetectsDifferences(t *testing.T) {
-	a := map[sim.StoreKey]int64{{Op: 1, Iter: 0}: 10, {Op: 1, Iter: 1}: 20}
-	b := map[sim.StoreKey]int64{{Op: 1, Iter: 0}: 10, {Op: 1, Iter: 1}: 21}
+	a := []sim.Store{{Key: sim.StoreKey{Op: 1, Iter: 0}, Val: 10}, {Key: sim.StoreKey{Op: 1, Iter: 1}, Val: 20}}
+	b := []sim.Store{{Key: sim.StoreKey{Op: 1, Iter: 0}, Val: 10}, {Key: sim.StoreKey{Op: 1, Iter: 1}, Val: 21}}
 	if err := sim.CompareStores(a, b, false); err == nil {
 		t.Fatal("value mismatch not detected")
 	}
-	c := map[sim.StoreKey]int64{{Op: 1, Iter: 0}: 10}
+	c := []sim.Store{{Key: sim.StoreKey{Op: 1, Iter: 0}, Val: 10}}
 	if err := sim.CompareStores(a, c, false); err == nil {
 		t.Fatal("missing key not detected")
 	}
 	if err := sim.CompareStores(c, a, false); err == nil {
 		t.Fatal("extra key not detected")
 	}
-	// onlyCommon tolerates missing keys in the second map only.
+	// onlyCommon tolerates missing keys in the second execution only.
 	if err := sim.CompareStores(a, c, true); err != nil {
 		t.Fatalf("onlyCommon rejected truncated execution: %v", err)
+	}
+}
+
+// TestCompareStoresDeterministic: with several differing or missing keys
+// the report names the first in (Op, Iter) order, every run. A key of the
+// first execution that differs or is missing from the second is reported
+// ahead of one missing from the first.
+func TestCompareStoresDeterministic(t *testing.T) {
+	st := func(op, iter int, v int64) sim.Store { return sim.Store{Key: sim.StoreKey{Op: op, Iter: iter}, Val: v} }
+	// a and b differ at (1,1) and (2,0); (1,3) and (2,2) are only in a;
+	// (0,9) and (1,2) are only in b.
+	a := []sim.Store{st(1, 0, 1), st(1, 1, 2), st(1, 3, 4), st(2, 0, 5), st(2, 2, 7)}
+	b := []sim.Store{st(0, 9, 0), st(1, 0, 1), st(1, 1, 3), st(1, 2, 9), st(2, 0, 6)}
+	// Only missing-from-first keys: x lacks (0,1) and (1,5) of y.
+	x := []sim.Store{st(1, 0, 1), st(2, 0, 2)}
+	y := []sim.Store{st(0, 1, 0), st(1, 0, 1), st(1, 5, 3), st(2, 0, 2)}
+	cases := []struct {
+		a, b       []sim.Store
+		onlyCommon bool
+		want       string
+	}{
+		{a, b, false, "sim: store {Op:1 Iter:1} differs: 2 vs 3"},
+		{b, a, false, "sim: store {Op:0 Iter:9} missing from second execution"},
+		{a, b, true, "sim: store {Op:1 Iter:1} differs: 2 vs 3"},
+		{x, y, false, "sim: store {Op:0 Iter:1} missing from first execution"},
+		{y, x, false, "sim: store {Op:0 Iter:1} missing from second execution"},
+		{y, x, true, "<nil>"},
+	}
+	for run := 0; run < 50; run++ {
+		for i, c := range cases {
+			if got := fmt.Sprint(sim.CompareStores(c.a, c.b, c.onlyCommon)); got != c.want {
+				t.Fatalf("run %d case %d: got %q, want %q", run, i, got, c.want)
+			}
+		}
 	}
 }
 

@@ -14,9 +14,14 @@ import (
 // pipelinedRef is the map-based simulator Pipelined replaced, kept as the
 // test-only reference the differential harness (differential_test.go)
 // checks the dense template walk against: it rebuilds the timeline as a
-// map of cycles to events and keeps values and queues in maps, one cycle
-// at a time. Apart from walking queues in (location, queue) order for the
-// depth and drain checks, it is the previous production code unchanged.
+// map of cycles to events and keeps values, queues and stores in maps, one
+// cycle at a time. Apart from walking queues in (location, queue) order for
+// the depth and drain checks and returning its store map as a sorted
+// slice, it is the previous production code unchanged.
+//
+// referenceMap and compareStoresMap are likewise the map-based Reference
+// and CompareStores that the key-ordered store slabs replaced;
+// verifyPipelineRef composes the three the way VerifyPipeline used to.
 
 type qid struct {
 	loc queue.Location
@@ -129,7 +134,8 @@ func pipelinedRef(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (
 	type instKey struct{ op, k int }
 	values := map[instKey]int64{}
 	queues := map[qid][]tagged{}
-	res := &PipeResult{Stores: map[StoreKey]int64{}}
+	res := &PipeResult{}
+	stores := map[StoreKey]int64{}
 	inputs := make([][]int, len(l.Ops)) // flow-input dep indices per op
 	for di, d := range l.Deps {
 		if d.Kind == ir.Flow {
@@ -209,7 +215,7 @@ func pipelinedRef(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (
 			values[instKey{e.op, e.k}] = v
 			res.Issues++
 			if op.Kind == ir.KStore {
-				res.Stores[StoreKey{op.EffID(), l.OrigIter(op, e.k)}] = v
+				stores[StoreKey{op.EffID(), l.OrigIter(op, e.k)}] = v
 			}
 		}
 		// Occupancy accounting and depth limits, after the cycle settles.
@@ -238,5 +244,111 @@ func pipelinedRef(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) (
 	if err := refDrained(queues); err != nil {
 		return nil, err
 	}
+	res.Stores = sortedStores(stores)
 	return res, nil
+}
+
+// sortedStores returns a store map as a slice sorted by key.
+func sortedStores(m map[StoreKey]int64) []Store {
+	var out []Store
+	for k, v := range m {
+		out = append(out, Store{k, v})
+	}
+	slices.SortFunc(out, func(a, b Store) int { return cmpStoreKey(a.Key, b.Key) })
+	return out
+}
+
+// storeMap is sortedStores' inverse.
+func storeMap(stores []Store) map[StoreKey]int64 {
+	m := make(map[StoreKey]int64, len(stores))
+	for _, st := range stores {
+		m[st.Key] = st.Val
+	}
+	return m
+}
+
+// referenceMap is the previous Reference: one value slice per op, flow
+// inputs gathered per op, and stores recorded in a map.
+func referenceMap(l *ir.Loop, n int) (map[StoreKey]int64, error) {
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
+	order, err := l.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	inputs := make([][]ir.Dep, len(l.Ops))
+	for id := range l.Ops {
+		inputs[id] = l.FlowInputs(l.Ops[id])
+	}
+	values := make([][]int64, len(l.Ops))
+	for id := range l.Ops {
+		values[id] = make([]int64, n)
+	}
+	value := func(opID, k int) int64 {
+		if k < 0 {
+			op := l.Ops[opID]
+			return ir.LeafValue(op.EffID(), l.OrigIter(op, k))
+		}
+		return values[opID][k]
+	}
+	stores := make(map[StoreKey]int64)
+	var args []int64
+	for k := 0; k < n; k++ {
+		for _, id := range order {
+			op := l.Ops[id]
+			args = args[:0]
+			for _, d := range inputs[id] {
+				args = append(args, value(d.From, k-d.Dist))
+			}
+			v := ir.Eval(op, l.OrigIter(op, k), args)
+			values[id][k] = v
+			if op.Kind == ir.KStore {
+				stores[StoreKey{op.EffID(), l.OrigIter(op, k)}] = v
+			}
+		}
+	}
+	return stores, nil
+}
+
+// compareStoresMap is the previous CompareStores. With several bad keys
+// the one it reports follows map iteration order.
+func compareStoresMap(a, b map[StoreKey]int64, onlyCommon bool) error {
+	for k, va := range a {
+		vb, ok := b[k]
+		if !ok {
+			if onlyCommon {
+				continue
+			}
+			return fmt.Errorf("sim: store %+v missing from second execution", k)
+		}
+		if va != vb {
+			return fmt.Errorf("sim: store %+v differs: %d vs %d", k, va, vb)
+		}
+	}
+	if !onlyCommon {
+		for k := range b {
+			if _, ok := a[k]; !ok {
+				return fmt.Errorf("sim: store %+v missing from first execution", k)
+			}
+		}
+	}
+	return nil
+}
+
+// verifyPipelineRef is the previous VerifyPipeline, composed from the
+// map-based references.
+func verifyPipelineRef(s *sched.Schedule, alloc *queue.Allocation, n int) error {
+	if n <= 0 {
+		n = s.Loop.TripCount()
+	}
+	ref, err := referenceMap(s.Loop, n)
+	if err != nil {
+		return err
+	}
+	pipe, err := pipelinedRef(s, alloc, PipeOptions{N: n})
+	if err != nil {
+		return err
+	}
+	return compareStoresMap(ref, storeMap(pipe.Stores), false)
 }
