@@ -57,7 +57,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		snapshot = flags.String("cache-snapshot", "", "snapshot file: warm-start the cache on boot, persist it on shutdown")
 		inflight = flags.Int("max-inflight", 0, "admission bound: concurrent requests before shedding with 429 (0 disables)")
 		slo      = flags.Duration("slo", 0, "compile-latency SLO target driving the effort degradation ladder (0 disables)")
-		noStruct = flags.Bool("no-structural", false, "disable the structural (isomorphism-class) cache layer")
 	)
 	if err := flags.Parse(args); err != nil {
 		return 2
@@ -72,8 +71,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		MaxBatch:     *batch,
 		MaxInflight:  *inflight,
 		SLOTarget:    *slo,
-
-		DisableStructural: *noStruct,
 	})
 	if *snapshot != "" {
 		if err := warmStart(srv, *snapshot, stdout); err != nil {

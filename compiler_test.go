@@ -366,8 +366,8 @@ func heavyLoop() string {
 
 // TestCachedRunHonoursCallerContext: a caller joining an in-flight cached
 // compile stops waiting when its own context is cancelled and gets
-// ctx.Err(), while the shared compile runs on detached, completes, and is
-// cached for the next caller.
+// ctx.Err(), while the shared compile carries on under its creator's
+// context, completes, and is cached for the next caller.
 func TestCachedRunHonoursCallerContext(t *testing.T) {
 	compiler := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "clustered:4"})
 	req := vliwq.Request{Loop: heavyLoop(), UnrollFactor: 16, Effort: "exhaustive"}
@@ -415,5 +415,215 @@ func TestCachedRunHonoursCallerContext(t *testing.T) {
 	}
 	if st := compiler.Stats(); st.Misses != 1 {
 		t.Fatalf("session compiled %d times, want 1", st.Misses)
+	}
+}
+
+// classLoop and its two re-spellings exercise the session's class cache:
+// classRenamed renames every name (ops and loop) and keeps the statement
+// order; classPermuted swaps the first two loads — same fingerprint class,
+// different skeleton.
+const (
+	classLoop = `loop daxpy
+trip 200
+op a load
+op x load
+op y load
+op m mul a
+op s add m y
+op st store s
+carried s m 1
+mem st a 1
+`
+	classRenamed = `loop zloop
+trip 200
+op p0 load
+op p1 load
+op p2 load
+op q0 mul p0
+op q1 add q0 p2
+op w store q1
+carried q1 q0 1
+mem w p0 1
+`
+	classPermuted = `loop daxpy
+trip 200
+op x load
+op a load
+op y load
+op m mul a
+op s add m y
+op st store s
+carried s m 1
+mem st a 1
+`
+)
+
+// TestCompilerClassCacheServesRenamedSpelling: a renamed spelling of a
+// compiled loop costs the session no second miss, and its Result renders
+// byte-identically to an uncached session compiling it from scratch.
+func TestCompilerClassCacheServesRenamedSpelling(t *testing.T) {
+	ctx := context.Background()
+	session := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "clustered:4"})
+	uncached := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "clustered:4", CacheEntries: -1})
+	if _, err := session.Run(ctx, vliwq.Request{Loop: classLoop}); err != nil {
+		t.Fatal(err)
+	}
+	got, how, err := session.RunServed(ctx, vliwq.Request{Loop: classRenamed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := uncached.Run(ctx, vliwq.Request{Loop: classRenamed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Report() != want.Report() || got.KernelSchedule() != want.KernelSchedule() {
+		t.Fatalf("class-served spelling differs from a fresh compile:\n%s\n%s\nvs\n%s\n%s",
+			got.Report(), got.KernelSchedule(), want.Report(), want.KernelSchedule())
+	}
+	if how != (vliwq.Served{Hit: true}) {
+		t.Fatalf("served = %+v, want a plain class hit", how)
+	}
+	if st := session.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("session misses=%d hits=%d, want 1/1", st.Misses, st.Hits)
+	}
+}
+
+// TestCompilerClassCacheReordersPermutedSpelling: a statement-permuted
+// spelling is renumbered into the class's statement order and served from
+// the class compile, under the caller's names, deterministically across
+// identically-warmed sessions.
+func TestCompilerClassCacheReordersPermutedSpelling(t *testing.T) {
+	ctx := context.Background()
+	var reports []string
+	for i := 0; i < 2; i++ {
+		session := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "clustered:4"})
+		if _, err := session.Run(ctx, vliwq.Request{Loop: classLoop}); err != nil {
+			t.Fatal(err)
+		}
+		res, how, err := session.RunServed(ctx, vliwq.Request{Loop: classPermuted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !how.Hit || !how.Reordered || how.Compiled {
+			t.Fatalf("served = %+v, want a reordered class hit", how)
+		}
+		if st := session.Stats(); st.Misses != 1 {
+			t.Fatalf("session misses = %d, want 1", st.Misses)
+		}
+		if err := res.Sched.Verify(); err != nil {
+			t.Fatalf("reordered schedule does not verify: %v", err)
+		}
+		if res.Input.Name != "daxpy" || res.Input.Ops[0].Name != "a" {
+			t.Fatalf("reordered result not in the class's statement order: %s", vliwq.FormatLoop(res.Input))
+		}
+		reports = append(reports, res.Report()+res.KernelSchedule())
+	}
+	if reports[0] != reports[1] {
+		t.Fatal("reordered hit differs across identically-warmed sessions")
+	}
+}
+
+// TestCompilerClassErrorUnderCallerNames: a class whose compile fails
+// (single:1 has no load/store unit, and the error names the loop) answers
+// a renamed spelling with the error a fresh compile of that spelling
+// gives, while an exact repeat replays the cached error.
+func TestCompilerClassErrorUnderCallerNames(t *testing.T) {
+	ctx := context.Background()
+	session := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "single:1"})
+	uncached := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "single:1", CacheEntries: -1})
+	_, first := session.Run(ctx, vliwq.Request{Loop: classLoop})
+	if first == nil || !strings.Contains(first.Error(), `"daxpy"`) {
+		t.Fatalf("class compile error = %v, want one naming the loop", first)
+	}
+	_, how, got := session.RunServed(ctx, vliwq.Request{Loop: classRenamed})
+	_, want := uncached.Run(ctx, vliwq.Request{Loop: classRenamed})
+	if got == nil || want == nil || got.Error() != want.Error() {
+		t.Fatalf("renamed spelling error %v, want the fresh compile's %v", got, want)
+	}
+	if !how.Compiled {
+		t.Fatalf("served = %+v, want a compile under the caller's names", how)
+	}
+	_, how, again := session.RunServed(ctx, vliwq.Request{Loop: classLoop})
+	if again == nil || again.Error() != first.Error() || !how.Hit {
+		t.Fatalf("exact repeat = (%+v, %v), want the cached error as a hit", how, again)
+	}
+	if st := session.Stats(); st.Misses != 1 {
+		t.Fatalf("session misses = %d, want 1", st.Misses)
+	}
+}
+
+// TestCompilerCancelledLeaderKeepsNothing: a compile cut by its creator's
+// cancellation is not cached, so the next Run compiles.
+func TestCompilerCancelledLeaderKeepsNothing(t *testing.T) {
+	session := vliwq.NewCompiler(vliwq.CompilerConfig{Machine: "clustered:4"})
+	req := vliwq.Request{Loop: heavyLoop(), UnrollFactor: 16, Effort: "exhaustive"}
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, err := session.Run(ctx, req)
+		leader <- err
+	}()
+	for session.Stats().Misses == 0 { // the leader owns the entry
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+	}
+	if st := session.Stats(); st.Entries != 0 {
+		t.Fatalf("cancelled compile left %d entries cached", st.Entries)
+	}
+	res, how, err := session.RunServed(context.Background(), req)
+	if err != nil || res == nil || !how.Compiled {
+		t.Fatalf("next Run = (%+v, %v), want a fresh compile", how, err)
+	}
+	if st := session.Stats(); st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("session misses=%d entries=%d, want 2/1", st.Misses, st.Entries)
+	}
+}
+
+// TestCompilerOptimalDeadlineCutNotKept: at effort "optimal" an expired
+// context cuts the proof, not the compile — Run returns an incumbent
+// flagged DeadlineCut — and that wall-clock-dependent certificate is not
+// kept: the next Run proves afresh.
+func TestCompilerOptimalDeadlineCutNotKept(t *testing.T) {
+	// A loop whose exhaustive schedule leaves an II gap, so a cut proof is
+	// observably unproved.
+	search := vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1})
+	p := corpus.StressedParams()
+	p.N = 48
+	var req vliwq.Request
+	for _, l := range corpus.Generate(p) {
+		r := vliwq.Request{Loop: vliwq.FormatLoop(l), Machine: "clustered:6",
+			CommLatency: 2, Effort: "exhaustive", SkipVerify: true}
+		if res, err := search.Run(context.Background(), r); err == nil && res.II > res.MII {
+			req = r
+			break
+		}
+	}
+	if req.Loop == "" {
+		t.Fatal("no exhaustive-gapped loop in the stressed slice")
+	}
+	req.Effort = "optimal"
+
+	session := vliwq.NewCompiler(vliwq.CompilerConfig{})
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := session.Run(expired, req)
+	if err != nil {
+		t.Fatalf("expired context failed the compile instead of cutting the proof: %v", err)
+	}
+	if res.Bound.Optimal || !res.Bound.DeadlineCut {
+		t.Fatalf("bound = %+v, want an unproved deadline-cut incumbent", res.Bound)
+	}
+	if st := session.Stats(); st.Entries != 0 {
+		t.Fatalf("deadline-cut result kept (%d entries)", st.Entries)
+	}
+	again, how, err := session.RunServed(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !how.Compiled || again.Bound.DeadlineCut {
+		t.Fatalf("next Run = (%+v, %+v), want a fresh, uncut proof", how, again.Bound)
 	}
 }

@@ -1,14 +1,15 @@
-// Package cache provides a concurrency-safe memoization cache shared by the
-// experiment pipeline (internal/exp) and the compilation service
-// (internal/service).
+// Package cache provides the one concurrency-safe singleflight memo cache
+// shared by the experiment pipeline (internal/exp), the Compiler session
+// (vliwq), the service (internal/service) and the gateway's coalescer.
 //
 // The cache is sharded by key hash so that concurrent workers contend on a
 // per-shard mutex rather than one cache-wide lock, and each entry computes
-// its value exactly once behind a sync.Once: when several goroutines ask for
-// the same key simultaneously, one runs the compute function and the rest
-// block on it instead of duplicating the (comparatively expensive) work.
-// Hit, miss and eviction counters are maintained for observability; a
-// bounded-size mode caps the entry count with random replacement.
+// its value once: when several goroutines ask for the same key
+// simultaneously, one runs the compute function and the rest wait on it
+// instead of duplicating the (comparatively expensive) work, under the one
+// wait rule DoContext documents. Hit, miss and eviction counters are
+// maintained for observability; a bounded-size mode caps the entry count
+// with random replacement.
 //
 // Completed entries can be persisted and restored across process restarts
 // via Save/Load (snapshot.go): a versioned, checksummed, deterministic
@@ -17,6 +18,7 @@
 package cache
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -38,17 +40,19 @@ type Options struct {
 	MaxEntries int
 }
 
-// Stats is a point-in-time snapshot of the cache counters.
+// Stats is a point-in-time snapshot of the cache counters. Counters count
+// lookups: a caller that retries after a Recompute verdict (see DoContext)
+// looks up again and counts again, so hits+misses equals the call count
+// whenever every verdict is Keep or ServeThenDrop.
 type Stats struct {
-	Hits      int64 `json:"hits"`      // Do found an existing entry
-	Misses    int64 `json:"misses"`    // Do created the entry (and ran compute)
+	Hits      int64 `json:"hits"`      // a lookup found an existing entry
+	Misses    int64 `json:"misses"`    // a lookup created the entry (and ran compute)
 	Evictions int64 `json:"evictions"` // entries dropped by the size bound
 	Entries   int64 `json:"entries"`   // current entry count
 	// Coalesced counts the subset of Hits that joined an entry whose
 	// compute was still in flight: concurrent demand for one key that a
 	// singleflight collapsed into a single compute. (A coalesced call is
-	// still a hit — the counter refines Hits rather than splitting it, so
-	// hits+misses keeps equaling the call count.)
+	// still a hit — the counter refines Hits rather than splitting it.)
 	Coalesced int64 `json:"coalesced"`
 }
 
@@ -74,9 +78,10 @@ type shard[K comparable, V any] struct {
 }
 
 type entry[V any] struct {
-	once sync.Once
-	val  V
-	done atomic.Bool // set after compute; eviction skips in-flight entries
+	wait    chan struct{} // closed once val and verdict are final
+	val     V
+	verdict Verdict
+	done    atomic.Bool // set with wait's close; eviction and Save skip in-flight entries
 }
 
 // New returns an empty cache. hash maps a key to its shard and must be
@@ -122,64 +127,114 @@ func New[K comparable, V any](opts Options, hash func(K) uint64) *Cache[K, V] {
 	return c
 }
 
-// Do returns the memoized value for key k, running compute exactly once per
-// key on first use. Concurrent callers of the same key share one compute:
-// the first runs it, the rest block until it finishes. compute must not
-// call back into the same cache key (the sync.Once would self-deadlock).
-func (c *Cache[K, V]) Do(k K, compute func() V) V {
-	v, _ := c.DoWithInfo(k, compute)
-	return v
-}
+// Verdict decides what becomes of a computed value: the creator always
+// gets it, the verdict governs everyone else.
+type Verdict uint8
 
-// Info reports how a DoWithInfo call was served.
+const (
+	// Keep caches the value: joiners get it and later calls hit it.
+	Keep Verdict = iota
+	// ServeThenDrop serves the value to every caller that joined the
+	// compute, then drops the entry so the next call recomputes (a
+	// certificate cut by the creator's deadline).
+	ServeThenDrop
+	// Recompute drops the entry without serving it: the value is its
+	// creator's alone (its context error, its 504). Each joiner whose own
+	// context is still live looks the key up again; one recomputes.
+	Recompute
+)
+
+// Info reports how a DoContext call was served, by its last lookup.
 type Info struct {
 	// Created is true when this call created the entry and ran compute —
 	// the cache-miss case.
 	Created bool
 	// Joined is true when this call found the entry with its compute still
-	// in flight and blocked on it: the singleflight-coalescing case.
+	// in flight and waited on it: the singleflight-coalescing case.
 	// Created and Joined are mutually exclusive; a plain hit on a completed
 	// entry reports neither.
 	Joined bool
 }
 
-// DoWithInfo is Do plus provenance: it additionally reports whether this
-// call created the entry (a miss that ran compute) or joined an in-flight
-// compute started by a concurrent caller (a coalesced hit). The serving
-// layers use the distinction to count fleet-wide coalescing without
-// changing what Do callers observe.
-func (c *Cache[K, V]) DoWithInfo(k K, compute func() V) (V, Info) {
+// Do returns the memoized value for key k, running compute exactly once per
+// key on first use and keeping every value. Concurrent callers of the same
+// key share one compute: the first runs it, the rest block until it
+// finishes. compute must not call back into the same cache key (it would
+// wait on itself).
+func (c *Cache[K, V]) Do(k K, compute func() V) V {
+	v, _, _ := c.DoContext(context.Background(), k, func() (V, Verdict) { return compute(), Keep })
+	return v
+}
+
+// DoContext is the context-aware singleflight, with one wait rule:
+//
+//   - The call that creates k's entry runs compute, which closes over that
+//     caller's own context: a deadline cuts the creator's work, nobody
+//     else's.
+//   - Every other caller waits under its own ctx. A caller whose ctx ends
+//     first returns ctx.Err() at once; the compute carries on for the rest.
+//   - compute's Verdict decides what the others see: Keep caches the value,
+//     ServeThenDrop hands it to the joiners and then forgets it, Recompute
+//     withholds it and sends each live joiner back to look the key up
+//     again.
+//
+// A completed entry answers without waiting, whatever the state of ctx.
+// The error is non-nil only when ctx ended while this call waited.
+func (c *Cache[K, V]) DoContext(ctx context.Context, k K, compute func() (V, Verdict)) (V, Info, error) {
 	sh := &c.shards[c.hash(k)&c.mask]
-	sh.mu.Lock()
-	e := sh.m[k]
-	var info Info
-	if e == nil {
-		e = &entry[V]{}
-		if sh.max > 0 && len(sh.m) >= sh.max {
-			c.evictLocked(sh)
+	for {
+		sh.mu.Lock()
+		e := sh.m[k]
+		if e == nil {
+			e = &entry[V]{wait: make(chan struct{})}
+			if sh.max > 0 && len(sh.m) >= sh.max {
+				c.evictLocked(sh)
+			}
+			sh.m[k] = e
+			c.entries.Add(1)
+			c.misses.Add(1)
+			sh.mu.Unlock()
+			return c.fill(sh, k, e, compute), Info{Created: true}, nil
 		}
-		sh.m[k] = e
-		c.entries.Add(1)
-		c.misses.Add(1)
-		info.Created = true
-	} else {
 		c.hits.Add(1)
-		if !e.done.Load() {
-			// The entry exists but its compute had not finished when this
-			// call arrived: it shares the in-flight compute (blocking on the
-			// sync.Once below). The compute may complete between this check
-			// and the once.Do — the call still counts as coalesced, since it
-			// arrived while the work was in flight.
-			info.Joined = true
-			c.coalesced.Add(1)
+		if e.done.Load() {
+			sh.mu.Unlock()
+			return e.val, Info{}, nil
 		}
+		c.coalesced.Add(1)
+		sh.mu.Unlock()
+		select {
+		case <-e.wait:
+			if e.verdict != Recompute {
+				return e.val, Info{Joined: true}, nil
+			}
+			if ctx.Err() == nil {
+				continue
+			}
+		case <-ctx.Done():
+		}
+		var zero V
+		return zero, Info{Joined: true}, ctx.Err()
 	}
-	sh.mu.Unlock()
-	e.once.Do(func() {
-		e.val = compute()
+}
+
+// fill runs compute for the entry this call created and releases its
+// joiners. A compute that panics releases them too, with a Recompute
+// verdict, so no joiner waits forever on a value that will never come.
+func (c *Cache[K, V]) fill(sh *shard[K, V], k K, e *entry[V], compute func() (V, Verdict)) V {
+	e.verdict = Recompute
+	defer func() {
+		if e.verdict != Keep { // only fill removes an in-flight entry
+			sh.mu.Lock()
+			delete(sh.m, k)
+			c.entries.Add(-1)
+			sh.mu.Unlock()
+		}
 		e.done.Store(true)
-	})
-	return e.val, info
+		close(e.wait)
+	}()
+	e.val, e.verdict = compute()
+	return e.val
 }
 
 // Get reports the memoized value for k, if a completed one exists. It never
@@ -196,33 +251,10 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return e.val, true
 }
 
-// Forget drops the entry for k, if a completed one exists, and reports
-// whether it did. The serving layer uses it to un-memoize outcomes that
-// must not persist — a compile cancelled by one client's deadline would
-// otherwise answer every future request for that key with the first
-// caller's context error. An entry whose compute is still in flight is left
-// alone (removing it would strand the goroutines blocked on its sync.Once
-// with a value no future caller shares); callers retrying after a Forget
-// that returned false simply find the in-flight entry and share its fate.
-// Forgotten entries do not count as evictions — eviction measures capacity
-// pressure, not deliberate invalidation.
-func (c *Cache[K, V]) Forget(k K) bool {
-	sh := &c.shards[c.hash(k)&c.mask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.m[k]
-	if e == nil || !e.done.Load() {
-		return false
-	}
-	delete(sh.m, k)
-	c.entries.Add(-1)
-	return true
-}
-
 // evictLocked drops one completed entry from sh (random replacement via map
-// iteration order). Entries still computing are skipped: evicting one would
-// strand the goroutines blocked on its sync.Once with a value no future
-// caller shares.
+// iteration order). Entries still computing are skipped: their joiners are
+// waiting on them, and a later caller must find them rather than start a
+// duplicate compute.
 func (c *Cache[K, V]) evictLocked(sh *shard[K, V]) {
 	for k, e := range sh.m {
 		if e.done.Load() {

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -47,7 +49,7 @@ func TestGet(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameKey verifies the per-entry sync.Once contract: many
+// TestConcurrentSameKey verifies the per-entry singleflight contract: many
 // goroutines racing on one key observe a single compute and one value.
 func TestConcurrentSameKey(t *testing.T) {
 	c := New[string, int](Options{Shards: 4}, StringHash)
@@ -165,79 +167,213 @@ func TestBoundedExactCap(t *testing.T) {
 	}
 }
 
-// TestForget: a forgotten key recomputes on next use, an unknown or
-// in-flight key is left alone, and counters reflect the removal without
-// charging an eviction.
-func TestForget(t *testing.T) {
-	c := New[string, int](Options{}, StringHash)
-	runs := 0
-	compute := func() int { runs++; return runs }
+// keep wraps a value as a Keep-verdict compute result.
+func keep(v int) func() (int, Verdict) {
+	return func() (int, Verdict) { return v, Keep }
+}
 
-	if c.Forget("k") {
-		t.Fatal("Forget reported success for a key never cached")
-	}
-	if v := c.Do("k", compute); v != 1 {
-		t.Fatalf("first Do = %d, want 1", v)
-	}
-	if !c.Forget("k") {
-		t.Fatal("Forget failed on a completed entry")
-	}
-	if n := c.Len(); n != 0 {
-		t.Fatalf("entries after Forget = %d, want 0", n)
-	}
-	if v := c.Do("k", compute); v != 2 {
-		t.Fatalf("Do after Forget = %d, want a fresh compute (2)", v)
-	}
-	st := c.Stats()
-	if st.Evictions != 0 {
-		t.Fatalf("Forget charged %d evictions, want 0 (eviction measures capacity pressure)", st.Evictions)
-	}
-	if st.Misses != 2 || st.Entries != 1 {
-		t.Fatalf("misses=%d entries=%d after forget+recompute, want 2/1", st.Misses, st.Entries)
+// startCompute launches a DoContext call whose compute blocks until
+// release is closed, and returns once that compute is running (the entry
+// is in flight). The call's outcome arrives on the returned channel.
+func startCompute(c *Cache[string, int], k string, v int, verdict Verdict, release <-chan struct{}) <-chan int {
+	started := make(chan struct{})
+	out := make(chan int, 1)
+	go func() {
+		got, _, _ := c.DoContext(context.Background(), k, func() (int, Verdict) {
+			close(started)
+			<-release
+			return v, verdict
+		})
+		out <- got
+	}()
+	<-started
+	return out
+}
+
+// waitCoalesced polls until n callers have joined an in-flight compute.
+func waitCoalesced(t *testing.T, c *Cache[string, int], n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Coalesced < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("coalesced = %d, want >= %d", c.Stats().Coalesced, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestForgetSkipsInFlight: an entry still computing cannot be forgotten —
-// the waiters blocked on it must all see the one computed value.
-func TestForgetSkipsInFlight(t *testing.T) {
+// TestCancelledJoinerKeepsCompute: a joiner whose context ends returns
+// ctx.Err() while the creator's compute is still running; the compute
+// finishes for its creator and is kept for the next call.
+func TestCancelledJoinerKeepsCompute(t *testing.T) {
 	c := New[string, int](Options{}, StringHash)
-	started := make(chan struct{})
 	release := make(chan struct{})
-	done := make(chan int)
+	leader := startCompute(c, "k", 7, Keep, release)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	joiner := make(chan error, 1)
 	go func() {
-		done <- c.Do("k", func() int {
+		_, info, err := c.DoContext(ctx, "k", keep(0))
+		if !info.Joined {
+			t.Errorf("cancelled joiner info = %+v, want Joined", info)
+		}
+		joiner <- err
+	}()
+	waitCoalesced(t, c, 1)
+	cancel()
+	select {
+	case err := <-joiner:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled joiner returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled joiner still waiting on the in-flight compute")
+	}
+
+	close(release)
+	if v := <-leader; v != 7 {
+		t.Fatalf("creator got %d, want 7", v)
+	}
+	if v, info, err := c.DoContext(context.Background(), "k", keep(0)); v != 7 || err != nil || info.Created {
+		t.Fatalf("after the compute: (%d, %+v, %v), want the kept 7", v, info, err)
+	}
+	if s := c.Stats(); s.Misses != 1 || s.Entries != 1 {
+		t.Fatalf("stats = %+v, want one compute, kept", s)
+	}
+}
+
+// TestRecomputeVerdict: a Recompute value reaches its creator only. Every
+// live joiner is sent back to the key, where exactly one of them
+// recomputes and the rest join that; a joiner whose context has ended by
+// then returns its own error instead.
+func TestRecomputeVerdict(t *testing.T) {
+	c := New[string, int](Options{}, StringHash)
+	release := make(chan struct{})
+	leader := startCompute(c, "k", -1, Recompute, release)
+
+	const joiners = 4
+	var recomputes atomic.Int64
+	vals := make(chan int, joiners)
+	var wg sync.WaitGroup
+	for i := 0; i < joiners; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, _, err := c.DoContext(context.Background(), "k", func() (int, Verdict) {
+				recomputes.Add(1)
+				time.Sleep(5 * time.Millisecond)
+				return 2, Keep
+			})
+			if err != nil {
+				t.Errorf("live joiner: %v", err)
+			}
+			vals <- v
+		}()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	dead := make(chan error, 1)
+	go func() {
+		_, _, err := c.DoContext(ctx, "k", keep(3))
+		dead <- err
+	}()
+	waitCoalesced(t, c, joiners+1)
+	cancel()
+	if err := <-dead; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled joiner returned %v, want context.Canceled", err)
+	}
+
+	close(release)
+	if v := <-leader; v != -1 {
+		t.Fatalf("creator got %d, want its own value -1", v)
+	}
+	wg.Wait()
+	close(vals)
+	for v := range vals {
+		if v != 2 {
+			t.Fatalf("live joiner got %d, want the recomputed 2", v)
+		}
+	}
+	if n := recomputes.Load(); n != 1 {
+		t.Fatalf("%d recomputes, want exactly 1", n)
+	}
+	if v, ok := c.Get("k"); !ok || v != 2 {
+		t.Fatalf("Get = (%d, %t), want the kept recompute", v, ok)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Entries != 1 || s.Evictions != 0 {
+		t.Fatalf("stats = %+v, want misses=2 entries=1 evictions=0", s)
+	}
+}
+
+// TestServeThenDropVerdict: joiners of a ServeThenDrop compute get its
+// value, and the entry is gone afterwards, so the next call recomputes.
+// Dropping is not eviction.
+func TestServeThenDropVerdict(t *testing.T) {
+	c := New[string, int](Options{}, StringHash)
+	release := make(chan struct{})
+	leader := startCompute(c, "k", 5, ServeThenDrop, release)
+	joiner := make(chan int, 1)
+	go func() {
+		v, _, _ := c.DoContext(context.Background(), "k", keep(0))
+		joiner <- v
+	}()
+	waitCoalesced(t, c, 1)
+	close(release)
+	if a, b := <-leader, <-joiner; a != 5 || b != 5 {
+		t.Fatalf("creator/joiner got %d/%d, want 5/5", a, b)
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("ServeThenDrop value still cached")
+	}
+	v, info, _ := c.DoContext(context.Background(), "k", keep(6))
+	if v != 6 || !info.Created {
+		t.Fatalf("next call = (%d, %+v), want a fresh compute of 6", v, info)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Hits != 1 || s.Entries != 1 || s.Evictions != 0 {
+		t.Fatalf("stats = %+v, want misses=2 hits=1 entries=1 evictions=0", s)
+	}
+}
+
+// TestPanickingComputeReleasesJoiners: a compute that panics must not
+// strand its joiners; they retry as after a Recompute verdict.
+func TestPanickingComputeReleasesJoiners(t *testing.T) {
+	c := New[string, int](Options{}, StringHash)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	go func() {
+		defer func() { _ = recover() }()
+		c.DoContext(context.Background(), "k", func() (int, Verdict) {
 			close(started)
 			<-release
-			return 7
+			panic("compute failed")
 		})
 	}()
 	<-started
-	if c.Forget("k") {
-		t.Fatal("Forget removed an entry whose compute is in flight")
-	}
+	joiner := make(chan int, 1)
+	go func() {
+		v, _, _ := c.DoContext(context.Background(), "k", keep(9))
+		joiner <- v
+	}()
+	waitCoalesced(t, c, 1)
 	close(release)
-	if v := <-done; v != 7 {
-		t.Fatalf("in-flight compute returned %d, want 7", v)
-	}
-	if !c.Forget("k") {
-		t.Fatal("Forget failed after the compute completed")
+	if v := <-joiner; v != 9 {
+		t.Fatalf("joiner got %d, want its own recompute 9", v)
 	}
 }
 
-// TestDoWithInfoClassification pins the three outcomes: Created on first
+// TestDoContextClassification pins the three outcomes: Created on first
 // use, Joined while the compute is in flight, neither on a completed-entry
 // hit — and the Coalesced counter tracking exactly the Joined calls.
-func TestDoWithInfoClassification(t *testing.T) {
+func TestDoContextClassification(t *testing.T) {
 	c := New[string, int](Options{Shards: 1}, StringHash)
 
 	started := make(chan struct{})
 	release := make(chan struct{})
 	joined := make(chan Info, 1)
 	go func() {
-		_, info := c.DoWithInfo("k", func() int {
+		_, info, _ := c.DoContext(context.Background(), "k", func() (int, Verdict) {
 			close(started)
 			<-release
-			return 7
+			return 7, Keep
 		})
 		if !info.Created || info.Joined {
 			t.Errorf("leader info = %+v, want Created", info)
@@ -248,21 +384,19 @@ func TestDoWithInfoClassification(t *testing.T) {
 
 	done := make(chan Info, 1)
 	go func() {
-		_, info := c.DoWithInfo("k", func() int { return 0 })
+		_, info, _ := c.DoContext(context.Background(), "k", keep(0))
 		done <- info
 	}()
-	// The joiner classifies before blocking on the once; give it a moment,
-	// then let the leader finish.
-	for c.Stats().Coalesced == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	// The joiner classifies before it waits; once it has, let the leader
+	// finish.
+	waitCoalesced(t, c, 1)
 	close(release)
 	if info := <-done; !info.Joined || info.Created {
 		t.Fatalf("joiner info = %+v, want Joined", info)
 	}
 	<-joined
 
-	if v, info := c.DoWithInfo("k", func() int { return 0 }); v != 7 || info.Created || info.Joined {
+	if v, info, _ := c.DoContext(context.Background(), "k", keep(0)); v != 7 || info.Created || info.Joined {
 		t.Fatalf("completed-entry hit: v=%d info=%+v, want v=7 and neither flag", v, info)
 	}
 	s := c.Stats()
@@ -282,9 +416,9 @@ func TestCoalescedSubsetOfHits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.DoWithInfo("hot", func() int {
+			c.DoContext(context.Background(), "hot", func() (int, Verdict) {
 				time.Sleep(2 * time.Millisecond)
-				return 1
+				return 1, Keep
 			})
 		}()
 	}
@@ -295,5 +429,27 @@ func TestCoalescedSubsetOfHits(t *testing.T) {
 	}
 	if s.Coalesced < 1 || s.Coalesced > s.Hits {
 		t.Fatalf("coalesced = %d, want within [1, %d]", s.Coalesced, s.Hits)
+	}
+}
+
+// TestHitDoesNotAllocate: a hit on a completed entry allocates nothing,
+// through Do (exp.Pipeline's hit-heavy path, struct keys) and DoContext.
+func TestHitDoesNotAllocate(t *testing.T) {
+	type pipeKey struct {
+		p *int
+		d [4]uint64
+	}
+	x := 3
+	k := pipeKey{p: &x}
+	c := New[pipeKey, int](Options{}, func(k pipeKey) uint64 { return k.d[0] })
+	c.Do(k, func() int { return 1 })
+	if n := testing.AllocsPerRun(1000, func() { c.Do(k, func() int { return x }) }); n != 0 {
+		t.Fatalf("Do hit allocates %v times, want 0", n)
+	}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(1000, func() {
+		c.DoContext(ctx, k, func() (int, Verdict) { return x, Keep })
+	}); n != 0 {
+		t.Fatalf("DoContext hit allocates %v times, want 0", n)
 	}
 }

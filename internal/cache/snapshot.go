@@ -240,8 +240,7 @@ func (c *Cache[K, V]) insertCompleted(k K, v V) bool {
 	if sh.max > 0 && len(sh.m) >= sh.max {
 		return false
 	}
-	e := &entry[V]{val: v}
-	e.once.Do(func() {}) // burn the Once so Do never recomputes this entry
+	e := &entry[V]{val: v} // completed: no caller ever waits on it
 	e.done.Store(true)
 	sh.m[k] = e
 	c.entries.Add(1)

@@ -107,7 +107,7 @@ func (t *Table) Fprint(w io.Writer) {
 // Results are shared pointers and must be treated as read-only — which
 // every experiment already does. The storage is a sharded
 // internal/cache.Cache, so concurrent workers contend per shard and each
-// distinct compilation runs exactly once behind its entry's sync.Once.
+// distinct compilation runs exactly once behind its cache entry.
 type Pipeline struct {
 	c *cache.Cache[pipeKey, vliwq.BatchResult]
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
+
+	"vliwq/internal/cache"
 )
 
 // Request coalescing: N concurrent /compile requests for one exact
@@ -17,68 +19,48 @@ import (
 // The key is the EXACT canonical key, not the structural one: isomorphic
 // but differently-named requests need differently-named response bytes, so
 // they must each reach a backend (the same backend — Route hashes the
-// structural key — where the service's structural cache collapses the
-// actual compile).
+// structural key — where the Compiler's class cache collapses the actual
+// compile).
+//
+// The coalescer runs on internal/cache's singleflight and its wait rule,
+// with verdicts that never keep a value: the gateway memoizes nothing
+// beyond the flight itself (backends own the caches).
 
-// flight is one in-flight dispatch and its outcome, shared by every
-// coalesced caller.
-type flight struct {
-	done   chan struct{}
+// reply is one dispatch's outcome, shared by every coalesced caller.
+type reply struct {
 	status int
 	hdr    http.Header
 	data   []byte
 	err    error
 }
 
-// isCtxErr reports a context-cancellation error — the one outcome class
-// that belongs to the leader's own deadline rather than to the request key.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// shareable reports whether a flight's outcome is authoritative for callers
-// other than its leader. Context errors and 504s are the leader's own
-// deadline expiring; a joiner with a live deadline must not inherit them.
-func (f *flight) shareable() bool {
-	return !isCtxErr(f.err) && f.status != http.StatusGatewayTimeout
-}
-
-// coalesce runs do() exactly once per key across concurrent callers: the
-// first caller (the leader) dispatches, the rest block on its outcome.
-// joined reports whether this caller was served by another's dispatch — the
-// gateway's coalesced counter and, because joiners skip dispatch entirely,
-// the owned/served routing counters both see exactly one request per
-// flight.
-//
-// Leader handoff: when a leader's outcome is not shareable (its own
-// deadline fired mid-flight), each waiting joiner loops and races to become
-// the next leader rather than inheriting a cancellation that was never
-// theirs. A joiner whose own context dies while waiting returns its own
-// context error.
-func (g *Gateway) coalesce(ctx context.Context, key string, do func() (int, http.Header, []byte, error)) (status int, hdr http.Header, data []byte, err error, joined bool) {
-	for {
-		g.flightMu.Lock()
-		if f, ok := g.flights[key]; ok {
-			g.flightMu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return 0, nil, nil, ctx.Err(), true
-			}
-			if !f.shareable() {
-				continue // hand off: race to lead the retry
-			}
-			return f.status, f.hdr, f.data, f.err, true
-		}
-		f := &flight{done: make(chan struct{})}
-		g.flights[key] = f
-		g.flightMu.Unlock()
-
-		f.status, f.hdr, f.data, f.err = do()
-		g.flightMu.Lock()
-		delete(g.flights, key)
-		g.flightMu.Unlock()
-		close(f.done)
-		return f.status, f.hdr, f.data, f.err, false
+// verdict decides who else may relay a reply. Context errors and 504s are
+// the leader's own deadline expiring: a joiner with a live deadline must
+// not inherit them, so it retries — one joiner leads the next dispatch and
+// the rest join it. Any other reply is served to the joiners and dropped.
+func (r reply) verdict() cache.Verdict {
+	if errors.Is(r.err, context.Canceled) || errors.Is(r.err, context.DeadlineExceeded) ||
+		r.status == http.StatusGatewayTimeout {
+		return cache.Recompute
 	}
+	return cache.ServeThenDrop
+}
+
+// coalesce runs do() once per key across concurrent callers: the first
+// caller (the leader) dispatches under its own context, the rest wait on
+// its reply under theirs. The bool reports whether this caller was served by
+// another's dispatch (or stopped waiting for one) — the gateway's
+// coalesced counter and, because joiners skip dispatch entirely, the
+// owned/served routing counters both see exactly one request per flight.
+// A joiner whose own context ends while waiting returns its context error.
+func (g *Gateway) coalesce(ctx context.Context, key string, do func() (int, http.Header, []byte, error)) (reply, bool) {
+	r, info, err := g.flights.DoContext(ctx, key, func() (reply, cache.Verdict) {
+		var r reply
+		r.status, r.hdr, r.data, r.err = do()
+		return r, r.verdict()
+	})
+	if err != nil {
+		r = reply{err: err}
+	}
+	return r, info.Joined
 }

@@ -136,8 +136,7 @@ type Gateway struct {
 
 	// Coalescing (coalesce.go): one in-flight dispatch per exact canonical
 	// key; coalesced counts the callers served by another's dispatch.
-	flightMu  sync.Mutex
-	flights   map[string]*flight
+	flights   *cache.Cache[string, reply]
 	coalesced atomic.Int64
 }
 
@@ -148,7 +147,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{cfg: cfg, client: cfg.Client, start: time.Now(),
 		latWindow: metrics.NewWindow(512),
-		flights:   make(map[string]*flight)}
+		flights:   cache.New[string, reply](cache.Options{}, cache.StringHash)}
 	threshold := cfg.BreakerThreshold
 	if threshold == 0 {
 		threshold = 5
@@ -545,7 +544,7 @@ func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// One in-flight dispatch per exact key: concurrent identical requests —
 	// and retries racing a slow owner's failover — join the leader's ring
 	// walk instead of launching their own (see coalesce.go).
-	status, hdr, data, err, joined := g.coalesce(ctx, req.Canonical(), func() (int, http.Header, []byte, error) {
+	rep, joined := g.coalesce(ctx, req.Canonical(), func() (int, http.Header, []byte, error) {
 		if d := g.hedgeDelay(); d > 0 {
 			return g.dispatchHedged(ctx, owner, body, d)
 		}
@@ -554,14 +553,14 @@ func (g *Gateway) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if joined {
 		g.coalesced.Add(1)
 	}
-	if err != nil {
-		g.failDispatch(w, err)
+	if rep.err != nil {
+		g.failDispatch(w, rep.err)
 		return
 	}
-	if status == http.StatusOK {
+	if rep.status == http.StatusOK {
 		g.latWindow.Add(float64(time.Since(t0).Nanoseconds()))
 	}
-	relay(w, status, hdr, data)
+	relay(w, rep.status, rep.hdr, rep.data)
 }
 
 // handleBatch splits a batch by owning backend, forwards the per-backend

@@ -5,11 +5,14 @@
 // portfolio/certified tiers, and the per-region schedules are merged back
 // into one program schedule whose total order is verified. All per-region
 // compiles run as canonical vliwq.Requests through one vliwq.Compiler
-// session, so the structural cache and Result.Bound certificates apply to
-// each region exactly as they would to a standalone request — a region's
-// compile is byte-identical to compiling its lifted loop alone, and the
-// same Requests can be posted verbatim to a vliwd /batch endpoint (see
-// DESIGN.md §15).
+// session, so its class cache and Result.Bound certificates apply to each
+// region exactly as they would to a standalone request: a region that is a
+// renamed copy of one already compiled in the session (in this program or,
+// on a shared session, an earlier one) is served by remap rather than
+// compiled again, a region's compile is byte-identical to compiling its
+// lifted loop alone (a statement-permuted copy gets its class's schedule
+// instead, DESIGN.md §12), and the same Requests can be posted verbatim to
+// a vliwd /batch endpoint (see DESIGN.md §15).
 package program
 
 import (
@@ -47,7 +50,7 @@ type Options struct {
 	// SkipVerify skips the per-region simulator verification.
 	SkipVerify bool
 	// Compiler, when non-nil, is the session to compile through — callers
-	// share one session so the structural cache spans programs. When nil a
+	// share one session so its class cache spans programs. When nil a
 	// private session is created.
 	Compiler *vliwq.Compiler
 }

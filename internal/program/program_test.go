@@ -3,6 +3,8 @@ package program
 import (
 	"context"
 	"os"
+	"regexp"
+	"strings"
 	"testing"
 
 	"vliwq"
@@ -146,5 +148,40 @@ func TestSharedCompilerSession(t *testing.T) {
 	}
 	if second.Hits <= first.Hits {
 		t.Fatalf("second schedule did not hit the session cache: hits %d -> %d", first.Hits, second.Hits)
+	}
+}
+
+// TestRenamedTraceSharesSessionClasses: a copy of the kernel trace with
+// every region label renamed lifts to renamed spellings of the same
+// region loops, so on a shared session it schedules from the class cache
+// with zero new compiles.
+func TestRenamedTraceSharesSessionClasses(t *testing.T) {
+	src, err := os.ReadFile("../frontend/testdata/kernel.trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed, err := frontend.ParseString(regexp.MustCompile(`\bL(\d+)\b`).ReplaceAllString(string(src), "Renamed$1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := vliwq.NewCompiler(vliwq.CompilerConfig{})
+	if _, err := ScheduleProgram(context.Background(), loadKernelTrace(t), Options{Compiler: c}); err != nil {
+		t.Fatal(err)
+	}
+	first := c.Stats()
+	s, err := ScheduleProgram(context.Background(), renamed, Options{Compiler: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatalf("renamed program schedule fails verification: %v", err)
+	}
+	for _, rs := range s.Regions {
+		if !strings.HasPrefix(rs.Result.Input.Name, "Renamed") {
+			t.Fatalf("region result carries loop name %q, want the renamed label", rs.Result.Input.Name)
+		}
+	}
+	if second := c.Stats(); second.Misses != first.Misses {
+		t.Fatalf("renamed trace recompiled: misses %d -> %d", first.Misses, second.Misses)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -268,10 +269,140 @@ func TestCompileOneForgetsCancelledOutcome(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := srv.cache.Get(norm.Canonical()); ok {
-		t.Fatal("cancelled outcome still cached after Forget")
+		t.Fatal("cancelled outcome still cached")
 	}
 	if resp, err := srv.compileOne(context.Background(), &req); err != nil || resp == nil {
 		t.Fatalf("retry after cancellation failed: %v", err)
+	}
+}
+
+// postBudget posts req to /compile with an optional DeadlineHeader budget
+// ("" sends none). It reports errors instead of failing the test, so
+// goroutines may call it.
+func postBudget(client *http.Client, url string, req CompileRequest, budget string) (int, []byte, error) {
+	buf, err := json.Marshal(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	hr, err := http.NewRequest(http.MethodPost, url+"/compile", strings.NewReader(string(buf)))
+	if err != nil {
+		return 0, nil, err
+	}
+	hr.Header.Set("Content-Type", "application/json")
+	if budget != "" {
+		hr.Header.Set(DeadlineHeader, budget)
+	}
+	resp, err := client.Do(hr)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	var body strings.Builder
+	_, err = io.Copy(&body, resp.Body)
+	return resp.StatusCode, []byte(body.String()), err
+}
+
+type posted struct {
+	status int
+	body   []byte
+	err    error
+}
+
+// waitStats polls the server until cond holds on its stats.
+func waitStats(t *testing.T, srv *Server, what string, cond func(StatsResponse) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond(srv.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestJoinerDeadlineLeavesLeaderCached: a /compile joiner waits on the
+// leader's in-flight compile under its own X-Vliw-Deadline, so it answers
+// 504 as soon as its budget ends, while the leader's compile runs on,
+// answers 200 and stays cached for the next request.
+func TestJoinerDeadlineLeavesLeaderCached(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req := heavyRequest(t)
+
+	leader := make(chan posted, 1)
+	go func() {
+		status, body, err := postBudget(ts.Client(), ts.URL, req, "")
+		leader <- posted{status, body, err}
+	}()
+	waitStats(t, srv, "the leader's cache miss", func(st StatsResponse) bool { return st.Cache.Misses == 1 })
+
+	status, body, err := postBudget(ts.Client(), ts.URL, req, "20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("joiner status %d (%s), want 504", status, body)
+	}
+	select {
+	case <-leader:
+		t.Fatal("the leader finished before the joiner's budget ended; the compile is too light to test the wait")
+	default:
+	}
+	l := <-leader
+	if l.err != nil || l.status != http.StatusOK {
+		t.Fatalf("leader = %d %v (%s), want 200", l.status, l.err, l.body)
+	}
+	n := req
+	if err := n.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := srv.cache.Get(n.Canonical()); !ok {
+		t.Fatal("the leader's response was not cached")
+	}
+	status, again, err := postBudget(ts.Client(), ts.URL, req, "")
+	if err != nil || status != http.StatusOK || string(again) != string(l.body) {
+		t.Fatalf("repeat = %d %v, want the leader's cached bytes", status, err)
+	}
+	st := srv.Stats()
+	if st.Sched.Compiles != 1 || st.DeadlineExceeded != 1 || st.Cache.Coalesced != 1 {
+		t.Fatalf("compiles=%d deadline_exceeded=%d coalesced=%d, want 1/1/1",
+			st.Sched.Compiles, st.DeadlineExceeded, st.Cache.Coalesced)
+	}
+}
+
+// TestLiveJoinerRecomputesAfterCancelledLeader: when the leader's own
+// X-Vliw-Deadline cancels the compile, the leader answers 504 but a
+// joiner whose context is still live does not inherit it — it compiles
+// afresh and answers 200.
+func TestLiveJoinerRecomputesAfterCancelledLeader(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req := heavyRequest(t)
+
+	leader := make(chan posted, 1)
+	go func() {
+		status, body, err := postBudget(ts.Client(), ts.URL, req, "20ms")
+		leader <- posted{status, body, err}
+	}()
+	waitStats(t, srv, "the leader's cache miss", func(st StatsResponse) bool { return st.Cache.Misses == 1 })
+	joiner := make(chan posted, 1)
+	go func() {
+		status, body, err := postBudget(ts.Client(), ts.URL, req, "")
+		joiner <- posted{status, body, err}
+	}()
+	waitStats(t, srv, "the joiner", func(st StatsResponse) bool { return st.Cache.Coalesced == 1 })
+
+	if l := <-leader; l.err != nil || l.status != http.StatusGatewayTimeout {
+		t.Fatalf("leader = %d %v (%s), want 504", l.status, l.err, l.body)
+	}
+	if j := <-joiner; j.err != nil || j.status != http.StatusOK {
+		t.Fatalf("live joiner = %d %v (%s), want 200 — it inherited the leader's deadline", j.status, j.err, j.body)
+	}
+	st := srv.Stats()
+	if st.Sched.Compiles != 2 || st.DeadlineExceeded != 1 {
+		t.Fatalf("compiles=%d deadline_exceeded=%d, want 2/1", st.Sched.Compiles, st.DeadlineExceeded)
 	}
 }
 

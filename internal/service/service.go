@@ -9,19 +9,20 @@
 //	GET  /healthz  liveness probe
 //	GET  /stats    request, scheduler and cache counters
 //
-// Compilation is deterministic, so responses are cacheable: the cache key
-// is vliwq.Request.Canonical() — the one canonical request encoding the
-// library, this service and the gateway share — and each distinct request
-// compiles exactly once per cache lifetime; concurrent identical requests
-// share one compute via the cache's per-entry sync.Once.
+// Compilation is deterministic, so responses are cacheable: the exact cache
+// key is vliwq.Request.Canonical() — the one canonical request encoding the
+// library, this service and the gateway share — and holds rendered
+// responses, so each distinct request compiles and renders once per cache
+// lifetime; concurrent identical requests share one compute.
 //
-// Beneath the exact cache sits a structural cache keyed by
-// vliwq.Request.StructuralKey() — the knobs plus the loop's dependence-graph
-// fingerprint — so a request whose loop is a renamed spelling of one already
-// compiled reuses that compile via a name remap instead of running the
-// pipeline (DESIGN.md §12). Both levels coalesce concurrent misses into a
-// single compute; /stats surfaces the structural layer's hit, coalesced and
-// renumbered counters.
+// Beneath the exact cache sits the vliwq.Compiler session's class cache,
+// keyed by vliwq.Request.StructuralKey() — the knobs plus the loop's
+// dependence-graph fingerprint — so a request whose loop is a renamed or
+// statement-permuted spelling of one already compiled reuses that compile
+// via a name remap instead of running the pipeline (DESIGN.md §12). Both
+// levels run on internal/cache's singleflight and its one wait rule;
+// /stats surfaces the class layer's hit, coalesced, reordered and
+// renumbered counters under "structural".
 package service
 
 import (
@@ -37,7 +38,6 @@ import (
 
 	"vliwq"
 	"vliwq/internal/cache"
-	"vliwq/internal/ir"
 	"vliwq/internal/metrics"
 	"vliwq/internal/pool"
 	"vliwq/internal/sched"
@@ -104,12 +104,6 @@ type Config struct {
 	// (optimal → exhaustive → balanced → fast), and recovers a step once
 	// the EWMA falls below half the target. 0 disables degradation.
 	SLOTarget time.Duration
-	// DisableStructural turns off the structural (isomorphism-class) cache
-	// layer: every exact-cache miss runs the pipeline, as before PR 7. The
-	// layer is also off whenever caching as a whole is disabled
-	// (CacheEntries < 0) — with no exact cache there is no miss path to
-	// intercept.
-	DisableStructural bool
 }
 
 // CompileRequest is the JSON body of POST /compile and each element of a
@@ -230,9 +224,9 @@ type SLOStats struct {
 	Degraded     int64   `json:"degraded"`
 }
 
-// StructuralStats reports the structural (isomorphism-class) cache layer:
-// how many exact-cache misses were served by remapping a structurally
-// cached compile instead of running the pipeline.
+// StructuralStats reports the structural (isomorphism-class) cache layer —
+// the Compiler session's class cache: how many exact-cache misses were
+// served by remapping a class's compile instead of running the pipeline.
 type StructuralStats struct {
 	Enabled bool `json:"enabled"`
 	// Hits counts exact-misses served by remap: the loop was a renamed
@@ -257,7 +251,7 @@ type StructuralStats struct {
 	// exists, or the spelling carries unroll lineage), so they compiled
 	// fresh.
 	Renumbered int64 `json:"renumbered"`
-	// Entries is the structural cache's current size (one per compiled
+	// Entries is the class cache's current size (one per compiled
 	// isomorphism class).
 	Entries int64 `json:"entries"`
 }
@@ -292,49 +286,44 @@ type StatsResponse struct {
 	Sched            SchedStats      `json:"sched"`
 }
 
-// outcome is the cached unit: one request's response or its error rendered
-// as a string (compilation is deterministic, so errors cache as well as
-// successes). ctxErr marks context cancellation — the one error class that
-// is NOT deterministic (it belongs to the requester's deadline, not the
-// request), so compileOne forgets such entries instead of serving them to
-// future callers. deadlineCut is the success-path analogue: an optimal-tier
-// response whose certificate was cut by the caller's deadline is served but
-// forgotten, because the proof depth it records is wall-clock dependent
-// (budget cuts, by contrast, are deterministic and cache normally).
+// outcome is the exact cache's unit: one request's rendered response or
+// its error rendered as a string (compilation is deterministic, so errors
+// cache as well as successes). ctxErr marks context cancellation — the one
+// error class that belongs to the requester's deadline, not the request.
 type outcome struct {
-	resp        *CompileResponse
-	err         string
-	ctxErr      bool
-	deadlineCut bool
-}
-
-// structEntry is the structural cache's unit: one isomorphism class's
-// compiled Result plus the skeleton of the spelling that compiled it — the
-// gate a later spelling must pass (skeleton equality = name-only
-// isomorphism) before the Result may be remapped onto its names. Errors
-// cache per class exactly as they do per exact key, with the same
-// context-error carve-out.
-type structEntry struct {
-	res    *vliwq.Result
-	skel   string
+	resp   *CompileResponse
 	err    string
 	ctxErr bool
+}
+
+// verdict applies the wait rule to an outcome: a context error is the
+// creator's alone, so a joiner with a live context recomputes; a
+// deadline-cut certificate records how far the creator's wall clock let
+// the proof run, so it is served to the joiners and then dropped (budget
+// cuts, by contrast, are deterministic and cache normally).
+func (oc outcome) verdict() cache.Verdict {
+	switch {
+	case oc.ctxErr:
+		return cache.Recompute
+	case oc.resp != nil && oc.resp.Bound != nil && oc.resp.Bound.DeadlineCut:
+		return cache.ServeThenDrop
+	}
+	return cache.Keep
 }
 
 // Server is the vliwd HTTP service. Create one with New; it is safe for
 // concurrent use by any number of requests.
 type Server struct {
-	cfg      Config
-	compiler *vliwq.Compiler               // uncached session; the response cache below dedups
-	cache    *cache.Cache[string, outcome] // nil when caching is disabled
-	// structs is the structural (isomorphism-class) cache beneath the exact
-	// cache: StructuralKey -> compiled Result. In-memory only — it holds
-	// live Result graphs, which the snapshot codec deliberately does not
-	// serialize (a warm restart repopulates it from recompiles; the exact
-	// cache is what persists). Nil when disabled.
-	structs *cache.Cache[string, structEntry]
-	mux     *http.ServeMux
-	start   time.Time
+	cfg Config
+	// compiler's class cache (StructuralKey -> compiled Result) sits
+	// beneath the exact cache. In-memory only — it holds live Result
+	// graphs, which the snapshot codec deliberately does not serialize (a
+	// warm restart repopulates it from recompiles; the exact cache is what
+	// persists).
+	compiler *vliwq.Compiler
+	cache    *cache.Cache[string, outcome] // exact cache; nil when caching is disabled
+	mux      *http.ServeMux
+	start    time.Time
 
 	compileRequests atomic.Int64
 	batchRequests   atomic.Int64
@@ -376,15 +365,13 @@ type Server struct {
 	machines   map[string]int64 // compiles per normalized machine spec
 }
 
-// New builds a Server from cfg. The server runs an uncached
-// vliwq.Compiler session — the service caches whole rendered responses
-// (report and kernel strings included) under the same canonical key the
-// compiler would use, so a second cache underneath would only duplicate
-// every entry.
+// New builds a Server from cfg. The exact cache and the Compiler session's
+// class cache share cfg.CacheEntries: one bound is generous for the class
+// layer (classes <= exact keys), and a negative bound disables both.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
-		compiler: vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: -1}),
+		compiler: vliwq.NewCompiler(vliwq.CompilerConfig{CacheEntries: cfg.CacheEntries}),
 		machines: make(map[string]int64),
 		latEWMA:  metrics.NewEWMA(0.2),
 		start:    time.Now(),
@@ -395,12 +382,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries >= 0 {
 		s.cache = cache.New[string, outcome](
 			cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash)
-		if !cfg.DisableStructural {
-			// One entry per compiled isomorphism class; the same bound as
-			// the exact cache is generous (classes <= exact keys).
-			s.structs = cache.New[string, structEntry](
-				cache.Options{MaxEntries: cfg.CacheEntries}, cache.StringHash)
-		}
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/compile", s.handleCompile)
@@ -439,21 +420,34 @@ func (s *Server) maxBody() int64 {
 	return 4 << 20
 }
 
-// runPipeline executes one compile for a normalized request and feeds
-// every scheduler counter — including the per-stage wall-clock and
-// per-machine-spec tallies the staged engine exposes; cached paths (exact
-// and structural) replay outcomes without recounting. On error it returns
-// the rendered error string plus the context-cancellation flag.
-func (s *Server) runPipeline(ctx context.Context, req CompileRequest) (*vliwq.Result, string, bool) {
+// record feeds one Compiler call into the counters. A call that ran the
+// pipeline feeds every scheduler counter — including the per-stage
+// wall-clock and per-machine-spec tallies the staged engine exposes — and,
+// on success, the SLO latency EWMA; a class hit feeds the structural
+// counters; a call that stopped waiting feeds neither.
+func (s *Server) record(req CompileRequest, res *vliwq.Result, how vliwq.Served, err error, d time.Duration) {
+	if how.Hit {
+		s.structHits.Add(1)
+		if how.Reordered {
+			s.structReordered.Add(1)
+		}
+		if how.Joined {
+			s.structCoalesced.Add(1)
+		}
+		return
+	}
+	if !how.Compiled {
+		return
+	}
+	if how.Renumbered {
+		s.structRenumbered.Add(1)
+	}
 	s.compiles.Add(1)
-	t0 := time.Now()
-	res, err := s.compiler.Run(ctx, req)
 	if err != nil {
 		s.compileErrors.Add(1)
-		return nil, err.Error(), errors.Is(err, context.Canceled) ||
-			errors.Is(err, context.DeadlineExceeded)
+		return
 	}
-	s.observeLatency(time.Since(t0))
+	s.observeLatency(d)
 	s.opsScheduled.Add(int64(len(res.Sched.Loop.Ops)))
 	s.iiSum.Add(int64(res.II))
 	if res.Bound.Lower > 0 {
@@ -471,13 +465,12 @@ func (s *Server) runPipeline(ctx context.Context, req CompileRequest) (*vliwq.Re
 	s.machinesMu.Lock()
 	s.machines[req.Machine]++
 	s.machinesMu.Unlock()
-	return res, "", false
 }
 
 // render materializes the response for one compiled Result. The remap step
-// guarantees a structurally served Result renders byte-identically to a
-// fresh compile of the same spelling, so render never needs to know which
-// path produced its input.
+// guarantees a class-served Result renders byte-identically to a fresh
+// compile of the same spelling, so render never needs to know which path
+// produced its input.
 func (s *Server) render(res *vliwq.Result, effort string) *CompileResponse {
 	resp := &CompileResponse{
 		Loop:       res.Input.Name,
@@ -505,118 +498,17 @@ func (s *Server) render(res *vliwq.Result, effort string) *CompileResponse {
 	return resp
 }
 
-// compute runs the pipeline for one normalized request and renders the
-// outcome — the structural-cache-free path (structural layer disabled,
-// unparseable loops, renumbered spellings).
+// compute answers one normalized request through the Compiler session —
+// its class cache, or the pipeline — and renders the outcome.
 func (s *Server) compute(ctx context.Context, req CompileRequest) outcome {
-	res, errStr, ctxErr := s.runPipeline(ctx, req)
-	if errStr != "" {
-		return outcome{err: errStr, ctxErr: ctxErr}
-	}
-	return outcome{resp: s.render(res, req.Effort), deadlineCut: res.Bound.DeadlineCut}
-}
-
-// compileClass runs the pipeline for the first spelling of an isomorphism
-// class and records, alongside the Result, the skeleton of the loop that
-// compiled — the remap precondition every later spelling is checked
-// against.
-func (s *Server) compileClass(ctx context.Context, req CompileRequest, loop *vliwq.Loop) structEntry {
-	res, errStr, ctxErr := s.runPipeline(ctx, req)
-	if errStr != "" {
-		return structEntry{err: errStr, ctxErr: ctxErr}
-	}
-	return structEntry{res: res, skel: ir.Skeleton(loop)}
-}
-
-// computeRouted is the exact-cache miss path: before running the pipeline
-// it consults the structural cache, so a loop that is a renamed spelling of
-// an already-compiled class is served by remapping that class's Result onto
-// the caller's names — verified byte-identical to a fresh compile by the
-// skeleton gate. Concurrent misses on one class (including a renamed
-// spelling racing the original) coalesce onto a single pipeline run via the
-// cache's singleflight semantics; structural.coalesced counts the joiners.
-//
-// A fingerprint match whose skeleton differs is a statement-permuted
-// spelling of the cached class. Those are canonically pre-ordered before
-// reuse: ir.AlignLike renumbers the caller's spelling into the class
-// leader's statement order (the first spelling to compile fixes the
-// class's canonical order), re-checks the skeleton gate, and serves the
-// rename-only remap — counted structural.reordered. Renamed-only
-// spellings keep the strict fresh-compile byte-identity guarantee;
-// reordered ones trade it for class-determinism: the served schedule is
-// the leader's, valid for the caller's loop (same skeleton after
-// alignment) and identical across identically-warmed servers, but a fresh
-// compile of the permuted spelling could break ID-based ties differently.
-//
-// Fallbacks preserve pre-structural behaviour exactly: a disabled layer,
-// an unparseable loop (the pipeline owns the error text), or a permuted
-// spelling AlignLike cannot map (no alignment exists, or unroll lineage is
-// present) all run the plain compute path; those renumbered sightings are
-// counted so the missed reuse is observable.
-func (s *Server) computeRouted(ctx context.Context, req CompileRequest) outcome {
-	if s.structs == nil {
-		return s.compute(ctx, req)
-	}
-	loop, err := vliwq.ParseLoop(req.Loop)
+	t0 := time.Now()
+	res, how, err := s.compiler.RunServed(ctx, req)
+	s.record(req, res, how, err, time.Since(t0))
 	if err != nil {
-		return s.compute(ctx, req)
+		return outcome{err: err.Error(), ctxErr: errors.Is(err, context.Canceled) ||
+			errors.Is(err, context.DeadlineExceeded)}
 	}
-	skey := req.StructuralKey()
-	ent, info := s.structs.DoWithInfo(skey, func() structEntry {
-		return s.compileClass(ctx, req, loop)
-	})
-	if ent.ctxErr {
-		// Context errors belong to the first caller's deadline, not the
-		// class; forget the entry so the next spelling recompiles.
-		s.structs.Forget(skey)
-		return outcome{err: ent.err, ctxErr: true}
-	}
-	if ent.err != "" {
-		if info.Created {
-			return outcome{err: ent.err}
-		}
-		// A cached pipeline error was rendered against the class leader's
-		// spelling, and error text can embed operand names. Recompute under
-		// the caller's own names so an error response is byte-identical to
-		// a fresh compile, exactly like a success response.
-		return s.compute(ctx, req)
-	}
-	cut := ent.res.Bound.DeadlineCut
-	if cut {
-		// A deadline-cut certificate records how far the caller's wall
-		// clock let the proof run — not a property of the class. Forget
-		// the entry so the next spelling proves from scratch (idempotent
-		// when creator and joiners race here).
-		s.structs.Forget(skey)
-	}
-	if info.Created {
-		// This call ran the compile; its Result already carries the
-		// caller's names.
-		return outcome{resp: s.render(ent.res, req.Effort), deadlineCut: cut}
-	}
-	reordered := false
-	if ir.Skeleton(loop) != ent.skel {
-		aligned, ok := ir.AlignLike(loop, ent.res.Input)
-		if !ok || ir.Skeleton(aligned) != ent.skel {
-			s.structRenumbered.Add(1)
-			return s.compute(ctx, req)
-		}
-		loop, reordered = aligned, true
-	}
-	remapped, rerr := vliwq.RemapResult(ent.res, loop)
-	if rerr != nil {
-		// Unreachable given the skeleton gate above; compile fresh rather
-		// than fail the request on a cache-layer defect.
-		return s.compute(ctx, req)
-	}
-	s.structHits.Add(1)
-	if reordered {
-		s.structReordered.Add(1)
-	}
-	if info.Joined {
-		s.structCoalesced.Add(1)
-	}
-	return outcome{resp: s.render(remapped, req.Effort), deadlineCut: cut}
+	return outcome{resp: s.render(res, req.Effort)}
 }
 
 // maxDegradeLevel is the ladder's floor: three steps take optimal all the
@@ -691,9 +583,10 @@ type clientError struct{ error }
 type timeoutError struct{ error }
 
 // compileOne serves one request through the cache layers — exact first
-// (keyed by Canonical(), holding rendered responses), then structural on an
-// exact miss (keyed by StructuralKey(), holding compiled Results remapped
-// onto each spelling's names; see computeRouted), then the pipeline. The
+// (keyed by Canonical(), holding rendered responses), then on an exact miss
+// the Compiler session's class cache (keyed by StructuralKey(), holding
+// compiled Results remapped onto each spelling's names; see
+// vliwq.Compiler.Run), then the pipeline. The
 // request is normalized first, so every spelling of the same behaviour
 // ("" vs "single:6") lands on one entry; Normalize errors are client
 // errors (HTTP 400).
@@ -705,13 +598,13 @@ type timeoutError struct{ error }
 // result, and a client genuinely asking for fast must not see degraded:true
 // on a shared entry — the annotation goes on a per-request copy.
 //
-// Computes run under the caller's context so a propagated deadline cancels
-// backend work at the next stage boundary. That makes context errors
-// cacheable by accident; compileOne forgets such entries immediately
-// (cache.Forget), so the next request for the key recompiles. Concurrent
-// waiters on the same in-flight entry share the first caller's fate — a
-// deliberate trade: shared-compute semantics cannot distinguish which
-// waiter's deadline fired.
+// Both layers apply internal/cache's wait rule (outcome.verdict): the
+// call that creates an entry computes under its own context, so a
+// propagated deadline cancels backend work at the next stage boundary;
+// every other caller waits under its own context and answers 504 when
+// that ends first, while the compute carries on and is cached. A context
+// error is never cached — a waiter with a live context recomputes — and a
+// deadline-cut certificate is served to the waiters, then dropped.
 func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
 	r := *req
 	if err := r.Normalize(); err != nil {
@@ -720,14 +613,13 @@ func (s *Server) compileOne(ctx context.Context, req *CompileRequest) (*CompileR
 	requested, didDegrade := s.degrade(&r)
 	var oc outcome
 	if s.cache != nil {
-		key := r.Canonical()
-		oc = s.cache.Do(key, func() outcome {
-			return s.computeRouted(ctx, r)
+		var err error
+		oc, _, err = s.cache.DoContext(ctx, r.Canonical(), func() (outcome, cache.Verdict) {
+			oc := s.compute(ctx, r)
+			return oc, oc.verdict()
 		})
-		if oc.ctxErr || oc.deadlineCut {
-			// Context errors and deadline-cut certificates are both
-			// artifacts of this caller's wall clock, not of the request.
-			s.cache.Forget(key)
+		if err != nil {
+			oc = outcome{err: err.Error(), ctxErr: true}
 		}
 	} else {
 		oc = s.compute(ctx, r)
@@ -923,6 +815,14 @@ func (s *Server) Stats() StatsResponse {
 			Degraded:     s.degraded.Load(),
 		},
 		CacheEnabled: s.cache != nil,
+		Structural: StructuralStats{
+			Enabled:    s.cache != nil,
+			Hits:       s.structHits.Load(),
+			Coalesced:  s.structCoalesced.Load(),
+			Reordered:  s.structReordered.Load(),
+			Renumbered: s.structRenumbered.Load(),
+			Entries:    s.compiler.Stats().Entries,
+		},
 		Sched: SchedStats{
 			Compiles:     s.compiles.Load(),
 			Errors:       s.compileErrors.Load(),
@@ -957,20 +857,10 @@ func (s *Server) Stats() StatsResponse {
 	if s.cache != nil {
 		st.Cache = s.cache.Stats()
 	}
-	st.Structural = StructuralStats{
-		Enabled:    s.structs != nil,
-		Hits:       s.structHits.Load(),
-		Coalesced:  s.structCoalesced.Load(),
-		Reordered:  s.structReordered.Load(),
-		Renumbered: s.structRenumbered.Load(),
-	}
 	st.Optimal = OptimalStats{
 		Proved:      s.optimalProved.Load(),
 		Incumbent:   s.optimalIncumbent.Load(),
 		PrunedNodes: s.optimalPruned.Load(),
-	}
-	if s.structs != nil {
-		st.Structural.Entries = s.structs.Stats().Entries
 	}
 	return st
 }

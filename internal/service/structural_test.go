@@ -125,19 +125,27 @@ mem st a 1
 	}
 }
 
-// TestStructuralDisabled: with DisableStructural set, renamed spellings
-// compile independently, as before the structural layer existed.
-func TestStructuralDisabled(t *testing.T) {
-	srv := New(Config{DisableStructural: true})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	postJSON(t, ts.Client(), ts.URL+"/compile", CompileRequest{Loop: structTestLoop})
-	postJSON(t, ts.Client(), ts.URL+"/compile", CompileRequest{Loop: renameSpelling(t, structTestLoop, "z")})
-	st := srv.Stats()
-	if st.Sched.Compiles != 2 || st.Structural.Enabled || st.Structural.Hits != 0 {
-		t.Fatalf("stats = compiles=%d structural=%+v, want 2 compiles with the layer disabled",
-			st.Sched.Compiles, st.Structural)
+// TestStructuralFollowsCacheEnabled: the structural layer is the
+// Compiler session's class cache, so it is on exactly when caching is.
+// With caching disabled, renamed spellings compile independently.
+func TestStructuralFollowsCacheEnabled(t *testing.T) {
+	for _, entries := range []int{0, -1} {
+		srv := New(Config{CacheEntries: entries})
+		ts := httptest.NewServer(srv.Handler())
+		postJSON(t, ts.Client(), ts.URL+"/compile", CompileRequest{Loop: structTestLoop})
+		postJSON(t, ts.Client(), ts.URL+"/compile", CompileRequest{Loop: renameSpelling(t, structTestLoop, "z")})
+		ts.Close()
+		st := srv.Stats()
+		if st.Structural.Enabled != st.CacheEnabled || st.CacheEnabled != (entries >= 0) {
+			t.Fatalf("entries=%d: structural.enabled=%t cache_enabled=%t", entries, st.Structural.Enabled, st.CacheEnabled)
+		}
+		wantCompiles := int64(1)
+		if entries < 0 {
+			wantCompiles = 2
+		}
+		if st.Sched.Compiles != wantCompiles {
+			t.Fatalf("entries=%d: compiles = %d, want %d", entries, st.Sched.Compiles, wantCompiles)
+		}
 	}
 }
 

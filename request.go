@@ -13,7 +13,7 @@ import (
 // request encoding across the whole system — the library's Compiler
 // sessions consume it, the vliwd service's /compile and /batch bodies ARE
 // this type (service.CompileRequest is an alias), and the vliwgate fleet
-// routes by its Canonical() string. A request built from a parsed loop and
+// routes by its StructuralKey(). A request built from a parsed loop and
 // library Options comes from NewRequest.
 //
 // The zero values of every optional field mean "the default": an empty

@@ -26,8 +26,8 @@ import (
 //
 // A request that fails Normalize or whose loop fails to parse cannot be
 // fingerprinted; it falls back to Canonical(), so invalid requests keep
-// exact-key semantics everywhere a structural key is used (gateway routing,
-// the service's structural cache lookup).
+// exact-key semantics everywhere a structural key is used (gateway routing;
+// a Compiler session compiles such requests uncached).
 func (r Request) StructuralKey() string {
 	n := r
 	if err := n.Normalize(); err != nil {
@@ -37,11 +37,17 @@ func (r Request) StructuralKey() string {
 	if err != nil {
 		return r.Canonical()
 	}
+	return n.structuralKey(l)
+}
+
+// structuralKey is StructuralKey for a normalized request whose loop text
+// parsed to l — the form a Compiler session uses, having parsed already.
+func (r Request) structuralKey(l *Loop) string {
 	var b strings.Builder
 	b.Grow(160)
 	fmt.Fprintf(&b, "sq1;m=%s;u=%t;f=%d;s=%s;mv=%t;cl=%d;sv=%t;e=%s;fp=%s",
-		n.Machine, n.Unroll, n.UnrollFactor, n.CopyShape,
-		n.AllowMoves, n.CommLatency, n.SkipVerify, n.Effort, ir.Fingerprint(l))
+		r.Machine, r.Unroll, r.UnrollFactor, r.CopyShape,
+		r.AllowMoves, r.CommLatency, r.SkipVerify, r.Effort, ir.Fingerprint(l))
 	return b.String()
 }
 
@@ -51,8 +57,8 @@ func (r Request) StructuralKey() string {
 // only in the loop name and operation names. The returned Result is
 // byte-identical to what compiling `to` under the same Options would
 // produce — Report, KernelSchedule and every artifact render with the
-// caller's names — without running any pipeline stage. The structural
-// cache layer in internal/service is the intended caller.
+// caller's names — without running any pipeline stage. A Compiler
+// session's class cache is the intended caller.
 //
 // Only naming is rewritten: loop bodies are cloned and renamed by lineage
 // (an unroll replica of original op i takes its new name from to.Ops[i]),

@@ -11,8 +11,9 @@
 //
 // The primary API is request-centric: a Request is the canonical encoding
 // of one compilation (loop text plus every knob, with a deterministic
-// Canonical() key every cache and router shares), and a Compiler is a
-// configured session that runs Requests:
+// Canonical() key, and a StructuralKey() shared by every renamed or
+// statement-permuted spelling), and a Compiler is a configured session
+// that runs Requests through its class cache:
 //
 //	c := vliwq.NewCompiler(vliwq.CompilerConfig{})
 //	res, err := c.Run(ctx, vliwq.Request{Loop: src, Machine: "clustered:4", Unroll: true})
