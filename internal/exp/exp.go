@@ -155,10 +155,7 @@ func hashPipeKey(k pipeKey) uint64 { return cache.StringHash(k.loop.Name) ^ k.ha
 // name and cluster layout included, into a comparable key. It is built
 // from the struct mechanically, so a field added to vliwq.Options or
 // sched.Options keys the cache without anyone remembering to add it.
-// RaceWorkers is cleared first: it only changes wall-clock, never the
-// schedule.
 func optionsDigest(vo vliwq.Options) string {
-	vo.Sched.RaceWorkers = 0
 	return fmt.Sprintf("%#v", vo)
 }
 

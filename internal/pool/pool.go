@@ -1,7 +1,9 @@
 // Package pool provides the one worker-pool primitive every fan-out in the
 // repo shares: the experiment sweeps (internal/exp), the facade's
-// CompileBatch and the service's /batch endpoint all fan index sets over a
-// fixed set of workers with deterministic, index-addressed output.
+// CompileBatch, Compiler.RunBatch and the service's /batch endpoint all fan
+// index sets over a fixed set of workers with deterministic,
+// index-addressed output. Parallelism lives at this one level, across
+// loops; the scheduler runs each loop's strategy portfolio sequentially.
 package pool
 
 import (

@@ -41,7 +41,7 @@ func BenchmarkScheduleLoopClustered6(b *testing.B) {
 	benchScheduleLoop(b, machine.Clustered(6))
 }
 
-// BenchmarkSchedulePortfolioExhaustive prices the full strategy race: the
+// BenchmarkSchedulePortfolioExhaustive prices the full strategy portfolio: the
 // same clustered-6 workload as above under EffortExhaustive, so the bench
 // trajectory records what the portfolio costs relative to the fast path.
 func BenchmarkSchedulePortfolioExhaustive(b *testing.B) {
@@ -61,7 +61,7 @@ func BenchmarkSchedulePortfolioExhaustive(b *testing.B) {
 // BenchmarkScheduleOptimalSmall prices the certified tier on the
 // hand-written kernels — the population small enough that proofs complete
 // — so the bench trajectory records what a certificate costs on top of the
-// exhaustive race it contains.
+// exhaustive portfolio it contains.
 func BenchmarkScheduleOptimalSmall(b *testing.B) {
 	loops := corpus.Kernels()
 	cfg := machine.Clustered(4)

@@ -54,8 +54,8 @@ type Bound struct {
 
 // exactNodeBudgetPerRatio scales Options.BudgetRatio into the per-candidate-
 // II search-node cap: the default ratio of 6 allows 240k nodes per II. The
-// cap is counted in placements tried, so it is identical at any worker
-// count and on any machine — a budget-cut certificate is deterministic.
+// cap is counted in placements tried, so it is identical run to run and
+// on any machine — a budget-cut certificate is deterministic.
 const exactNodeBudgetPerRatio = 40000
 
 func exactNodeBudget(ratio int) int64 {
@@ -63,8 +63,8 @@ func exactNodeBudget(ratio int) int64 {
 }
 
 // scheduleOptimal implements Options.Effort: optimal. It obtains an
-// incumbent from the heuristic portfolio (the same race the exhaustive tier
-// runs), then certifies or improves it with the exact searcher, walking
+// incumbent from the heuristic portfolio (the same search the exhaustive
+// tier runs), then certifies or improves it with the exact searcher, walking
 // every integer II in [MII, incumbent II). Note the ladder deliberately
 // does not use candidateIIs: a proof of optimality needs every integer
 // rung, while the heuristic ladder is allowed to skip.

@@ -21,8 +21,8 @@ import (
 // and shared by every II attempt. The working loop aliases the input
 // (copy-on-write): only an attempt that actually inserts move operations
 // pays for private op/dep copies and a CSR rebuild (detach, moves.go).
-// When several portfolio strategies race one loop, the same facts are
-// shared across the racing states through a raceMemo (memo.go).
+// When a portfolio tries several strategies on one loop, the same facts are
+// shared across those attempts through a raceMemo (memo.go).
 type state struct {
 	orig        *ir.Loop
 	loop        *ir.Loop // working view; ops are shared, never mutated
@@ -84,7 +84,7 @@ var statePool = sync.Pool{New: func() any { return new(state) }}
 
 // init binds the arena to a new input loop, reusing all prior storage.
 // memo, when non-nil, supplies the shared pristine-loop facts of a
-// portfolio race; ref routes feasibility probes through the scalar
+// portfolio search; ref routes feasibility probes through the scalar
 // reference implementation (the differential harness's toggle).
 func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, memo *raceMemo, ref bool) {
 	st.orig = l
@@ -108,7 +108,7 @@ func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Str
 	// fast path gains nothing there anyway).
 	st.ref = ref || nc > 64
 	if memo != nil {
-		// Share every pristine-loop and machine fact the race computed
+		// Share every pristine-loop and machine fact the memo computed
 		// once. The three-index cap on lat/class forces any growOp append
 		// to reallocate privately instead of writing into shared storage.
 		st.lat = memo.lat[:n:n]
@@ -783,7 +783,7 @@ func (st *state) settleSlow(id int, wl *worklist) int {
 // numOps passes.
 //
 // Heights depend only on the pristine graph and the II, so a portfolio
-// race computes them once per II in the shared raceMemo and every racing
+// search computes them once per II in the shared raceMemo and every
 // strategy copies the result; only an attempt that grew the graph with
 // move operations recomputes privately.
 func (st *state) computeHeights() {

@@ -8,12 +8,12 @@ import (
 )
 
 // raceMemo shares placement-invariant facts across the attempts of one
-// ScheduleLoop call. A portfolio race runs (strategies × candidate IIs)
+// ScheduleLoop call. A portfolio search runs (strategies × candidate IIs)
 // attempts over the same pristine loop; without sharing, each attempt
 // rebuilds the CSR precedence views and recomputes the height priority
 // fixpoint from scratch. Both depend only on the pristine graph (and, for
-// heights, the II), so the race computes them once and every racing state
-// reads them.
+// heights, the II), so the memo computes them once and every attempt reads
+// them.
 //
 // The sharing is deliberately limited to placement-invariant facts.
 // Placement-dependent candidates — per-op earliest-slot floors carried from
@@ -25,12 +25,11 @@ import (
 // are cached, snapshotted and remapped under (DESIGN.md §13 spells out the
 // invalidation rules).
 //
-// Concurrency: preds/succs/lat/deps are built before the race starts and
-// are read-only afterwards. The heights table is guarded by mu; a height
-// vector is written once, under the lock, by the first attempt to need its
-// II, and only read (copied out) after that. An attempt that mutates its
-// working loop (move insertion) detaches from the memo entirely and
-// recomputes privately.
+// The memo belongs to one ScheduleLoop call and is used by one goroutine.
+// preds/succs/lat/deps are read-only once built; a height vector is
+// written once, by the first attempt to need its II. An attempt that
+// mutates its working loop (move insertion) detaches from the memo
+// entirely and recomputes privately.
 type raceMemo struct {
 	n     int
 	deps  []ir.Dep // aliases the pristine loop's list, never mutated
@@ -39,13 +38,12 @@ type raceMemo struct {
 
 	preds, succs ir.Adj
 
-	// Machine facts of the racing config (see maskInto); valid when the
+	// Machine facts of the target config (see maskInto); valid when the
 	// machine fits the packed one-bit-per-cluster representation.
 	adjMasks  []uint64
 	allMask   uint64
 	classMask [machine.NumClasses]uint64
 
-	mu      sync.Mutex
 	used    int // live prefix of heights (stale entries keep their storage)
 	heights []memoHeights
 }
@@ -60,7 +58,7 @@ type memoHeights struct {
 var memoPool = sync.Pool{New: func() any { return new(raceMemo) }}
 
 // newRaceMemo binds a pooled memo to a pristine loop and the machine the
-// race targets.
+// portfolio targets.
 func newRaceMemo(l *ir.Loop, cfg *machine.Config) *raceMemo {
 	m := memoPool.Get().(*raceMemo)
 	m.n = len(l.Ops)
@@ -81,23 +79,20 @@ func newRaceMemo(l *ir.Loop, cfg *machine.Config) *raceMemo {
 	return m
 }
 
-// release returns the memo to the pool. The caller must guarantee no racing
-// state still references it (the race's pool.Run has completed).
+// release returns the memo to the pool once the ScheduleLoop call that
+// bound it is done with it.
 func (m *raceMemo) release() {
 	m.deps = nil
 	memoPool.Put(m)
 }
 
 // heightsFor returns the shared height vector for ii, computing it at most
-// once per (loop, II) across every racing strategy. The returned slice is
+// once per (loop, II) across every strategy. The returned slice is
 // immutable; callers copy it into their own arena.
 func (m *raceMemo) heightsFor(ii int) []int {
-	m.mu.Lock()
 	for i := 0; i < m.used; i++ {
 		if m.heights[i].ii == ii {
-			h := m.heights[i].h
-			m.mu.Unlock()
-			return h
+			return m.heights[i].h
 		}
 	}
 	if m.used == len(m.heights) {
@@ -107,7 +102,5 @@ func (m *raceMemo) heightsFor(ii int) []int {
 	e.ii = ii
 	e.h = heightsInto(e.h, m.lat, m.deps, ii, m.n)
 	m.used++
-	h := e.h
-	m.mu.Unlock()
-	return h
+	return e.h
 }

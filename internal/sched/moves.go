@@ -39,8 +39,8 @@ func (st *state) insertMoveChain(d ir.Dep, wl *worklist) int {
 
 	// About to mutate the op and dependence lists: give the working loop
 	// private storage. Until here they alias the pristine input (and, in a
-	// portfolio race, the CSR views may be shared by every racing
-	// strategy), so mutating in place would corrupt the other attempts.
+	// portfolio search, the CSR views are the memo's, shared by every
+	// strategy attempt), so mutating in place would corrupt later attempts.
 	st.detach()
 
 	// Remove the offending dependence (first value match).

@@ -1,4 +1,4 @@
-// Portfolio scheduling: race several cluster-assignment strategies per
+// Portfolio scheduling: try several cluster-assignment strategies per
 // candidate II and keep the best schedule.
 //
 // The paper's partitioned IMS commits to one cluster-preference heuristic,
@@ -12,78 +12,41 @@
 //   - The first candidate II at which any strategy schedules wins (the II
 //     ladder is walked from MII upward, so this is the lowest achievable II
 //     over the portfolio).
-//   - At II > MII every strategy completes and the best schedule is chosen
-//     by fewest inserted move operations, then shortest schedule, then
-//     lowest strategy index.
-//   - At II == MII the race short-circuits: the lowest-indexed strategy to
-//     schedule wins outright and strategies with higher indices are
-//     abandoned. Every strategy below the winner always runs to
-//     completion, so the winner is independent of timing, worker count and
-//     interleaving — raced and sequential execution return the identical
-//     schedule.
+//   - At II > MII every strategy runs and the best schedule is chosen by
+//     fewest inserted move operations, then shortest schedule, then lowest
+//     strategy index.
+//   - At II == MII the scan stops at the first strategy that schedules: the
+//     lowest index wins outright and higher indices never run.
 //
-// Racing uses the repo-wide worker pool (internal/pool). Attempts are fed
-// in strategy order; cancellation after an MII hit can therefore only skip
-// strategies above the first winner, which is what makes the short-circuit
-// deterministic.
+// The strategies run one after another, in index order, on the caller's
+// state arena. Parallelism lives one level up, across loops: service
+// requests, the /batch pool, the experiment sweeps and program regions each
+// schedule many loops at once, just as the partitioned scheduler runs one
+// sequential scheduler per partition. The schedule and the work counters in
+// Stats are therefore a function of the input alone.
 
 package sched
 
 import (
-	"context"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"vliwq/internal/ir"
 	"vliwq/internal/machine"
-	"vliwq/internal/pool"
 )
 
-// attempt is the outcome of one (strategy, II) scheduling try.
+// attempt is a successful (strategy, II) try, copied out of the state arena.
 type attempt struct {
-	ok      bool
+	strat   Strategy
 	time    []int
 	cluster []int
 	loop    *ir.Loop // input loop, or a clone when moves were inserted
-	stats   Stats
-	moves   int // move operations inserted
-	length  int // single-iteration span, the last tie-break metric
-}
-
-// runAttempt schedules l at one II under one strategy on a private arena.
-// ordinal is the 1-based position of ii on the candidate ladder; it seeds
-// the budget multiplier so each strategy sees the same budget growth it
-// would in the single-strategy search. memo carries the race-wide shared
-// pristine-loop facts (CSR views, per-II heights); the attempt's private
-// arena holds everything placement-dependent.
-func runAttempt(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, ii, ordinal int, memo *raceMemo, ref bool) attempt {
-	st := statePool.Get().(*state)
-	defer statePool.Put(st)
-	st.init(l, cfg, budgetRatio, strat, memo, ref)
-	st.ordinal = ordinal
-	st.stats.Attempts = 1 // this call is exactly one (II, strategy) attempt
-	if !st.tryII(ii) {
-		return attempt{stats: st.stats}
-	}
-	a := attempt{ok: true, stats: st.stats, moves: st.stats.MovesInserted}
-	a.loop = l
-	if len(st.loop.Ops) != len(l.Ops) {
-		a.loop = st.loop.Clone()
-	}
-	a.time = append([]int(nil), st.time...)
-	a.cluster = append([]int(nil), st.cluster...)
-	for id, op := range a.loop.Ops {
-		if end := a.time[id] + op.Kind.Latency(); end > a.length {
-			a.length = end
-		}
-	}
-	return a
+	moves   int      // move operations inserted
+	length  int      // single-iteration span, the last tie-break metric
 }
 
 // better reports whether a beats b under the II-equal comparison: fewer
 // inserted moves, then shorter schedule. Index order breaks ties because
-// the caller scans attempts in strategy order and keeps the incumbent.
+// the caller scans strategies in index order and keeps the incumbent.
 func (a attempt) better(b attempt) bool {
 	if a.moves != b.moves {
 		return a.moves < b.moves
@@ -91,109 +54,76 @@ func (a attempt) better(b attempt) bool {
 	return a.length < b.length
 }
 
-func (o Options) raceWorkers() int {
-	if o.RaceWorkers > 0 {
-		return o.RaceWorkers
+// span returns the single-iteration span of the state's current placement.
+func (st *state) span() int {
+	n := 0
+	for id, op := range st.loop.Ops {
+		if end := st.time[id] + op.Kind.Latency(); end > n {
+			n = end
+		}
 	}
-	return runtime.GOMAXPROCS(0)
+	return n
 }
 
-// schedulePortfolio walks the candidate-II ladder racing every strategy at
-// each step. See the package comment above for the selection rule and its
-// determinism argument.
+// schedulePortfolio walks the candidate-II ladder trying every strategy at
+// each step. See the package comment above for the selection rule.
 func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, strats []Strategy, resMII, recMII, maxII int) (*Schedule, error) {
 	mii := resMII
 	if recMII > mii {
 		mii = recMII
 	}
 	ratio := opts.budgetRatio()
-	workers := opts.raceWorkers()
 	st.iiBuf = candidateIIs(st.iiBuf, mii, maxII)
 	iis := st.iiBuf
-	// The memo is shared by every racing attempt and released only after
-	// the last race round has completed (pool.Run is a barrier per round).
 	memo := newRaceMemo(l, &cfg)
 	defer memo.release()
 
-	var total Stats
-	results := make([]attempt, len(strats))
+	total := Stats{StrategiesTried: len(strats)}
 	for ord, ii := range iis {
-		for i := range results {
-			results[i] = attempt{}
-		}
-		atMII := ii == mii
-		if workers == 1 {
-			// A single worker runs the strategies in index order anyway, so
-			// the race degenerates to a plain loop — same results, same
-			// MII short-circuit, none of the pool's goroutine/channel cost.
-			for i := range strats {
-				results[i] = runAttempt(l, cfg, ratio, strats[i], ii, ord+1, memo, opts.refImpl)
-				if atMII && results[i].ok {
-					break
-				}
-			}
-		} else {
-			ctx, cancel := context.WithCancel(context.Background())
-			// minWin tracks the lowest strategy index that has scheduled at
-			// MII. Feeding is in index order, so by the time strategy i runs,
-			// every index below i has at least started and will complete;
-			// cancellation can only drop indices that cannot win.
-			minWin := atomic.Int64{}
-			minWin.Store(int64(len(strats)))
-			pool.Run(ctx, len(strats), workers, func(i int) {
-				if atMII && minWin.Load() < int64(i) {
-					return // a strictly better winner already exists
-				}
-				results[i] = runAttempt(l, cfg, ratio, strats[i], ii, ord+1, memo, opts.refImpl)
-				if atMII && results[i].ok {
-					for {
-						cur := minWin.Load()
-						if int64(i) >= cur || minWin.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-					cancel()
-				}
-			}, nil)
-			cancel()
-		}
-
-		win := -1
-		for i := range results {
-			total.Attempts += results[i].stats.Attempts
-			total.Placements += results[i].stats.Placements
-			total.Evictions += results[i].stats.Evictions
-		}
-		for i := range results {
-			if !results[i].ok {
+		var best attempt
+		found := false
+		for _, strat := range strats {
+			// ordinal is the 1-based position of ii on the ladder; it seeds
+			// the budget multiplier so each strategy sees the same budget
+			// growth it would in the single-strategy search.
+			st.init(l, cfg, ratio, strat, memo, opts.refImpl)
+			st.ordinal = ord + 1
+			ok := st.tryII(ii)
+			total.Attempts++
+			total.Placements += st.stats.Placements
+			total.Evictions += st.stats.Evictions
+			if !ok {
 				continue
 			}
-			if atMII {
-				// Lowest index wins outright: indices below i either ran
-				// and failed (deterministically) or succeeded and already
-				// claimed the race.
-				win = i
+			cand := attempt{strat: strat, loop: l, moves: st.stats.MovesInserted, length: st.span()}
+			if found && !cand.better(best) {
+				continue
+			}
+			if len(st.loop.Ops) != len(l.Ops) {
+				cand.loop = st.loop.Clone()
+			}
+			// The arena is reinitialised by the next attempt: copy the
+			// placement out, into the storage of the incumbent it replaces.
+			cand.time = append(best.time[:0], st.time...)
+			cand.cluster = append(best.cluster[:0], st.cluster...)
+			best, found = cand, true
+			if ii == mii {
 				break
 			}
-			if win < 0 || results[i].better(results[win]) {
-				win = i
-			}
 		}
-		if win < 0 {
+		if !found {
 			continue
 		}
-		a := results[win]
-		total.MovesInserted = a.moves
-		total.StrategiesTried = len(strats)
+		total.MovesInserted = best.moves
 		return &Schedule{
-			Loop:     a.loop,
+			Loop:     best.loop,
 			Machine:  cfg,
 			II:       ii,
-			Time:     a.time,
-			Cluster:  a.cluster,
+			Time:     best.time,
+			Cluster:  best.cluster,
 			ResMII:   resMII,
 			RecMII:   recMII,
-			Strategy: strats[win],
+			Strategy: best.strat,
 			Stats:    total,
 		}, nil
 	}
@@ -202,8 +132,7 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, 
 	// compact cluster-subset search, which cannot fail on a valid loop.
 	// Compact mode restricts placement to a mutually adjacent subset, so
 	// the preference ordering is irrelevant and the result reports the
-	// baseline strategy. The race has ended, so the caller's state arena
-	// (and the memo, still valid) is reused for the fallback.
+	// baseline strategy. The memo is still valid for the fallback.
 	st.init(l, cfg, ratio, StrategyBaseline, memo, opts.refImpl)
 	// Seed the attempt counter to the ladder length so the compact
 	// attempts run at the same (capped) budget multiplier they get in
@@ -221,7 +150,6 @@ func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, 
 		total.Placements += st.stats.Placements
 		total.Evictions += st.stats.Evictions
 		total.MovesInserted = st.stats.MovesInserted
-		total.StrategiesTried = len(strats)
 		return &Schedule{
 			Loop:     resLoop,
 			Machine:  cfg,

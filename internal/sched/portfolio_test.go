@@ -148,21 +148,21 @@ func TestFastScheduleDigestPinned(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministic: the race must return the identical schedule
-// sequentially and at any worker count — the determinism guarantee
-// DESIGN.md §9 documents.
+// TestPortfolioDeterministic: two runs of the portfolio must return the
+// identical schedule — the determinism guarantee DESIGN.md §9 documents.
+// CI runs it at -cpu 1,4.
 func TestPortfolioDeterministic(t *testing.T) {
 	loops := corpus.Generate(corpus.Params{Seed: 11, N: 24, MinOps: 8})
 	cfg := machine.Clustered(4)
 	for _, l := range loops {
 		var ref *Schedule
-		for _, workers := range []int{1, 2, 8} {
-			s, err := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive, RaceWorkers: workers})
+		for run := 0; run < 2; run++ {
+			s, err := ScheduleLoop(l, cfg, Options{Effort: EffortExhaustive})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", l.Name, workers, err)
+				t.Fatalf("%s run %d: %v", l.Name, run, err)
 			}
 			if err := s.Verify(); err != nil {
-				t.Fatalf("%s workers=%d: %v", l.Name, workers, err)
+				t.Fatalf("%s run %d: %v", l.Name, run, err)
 			}
 			if ref == nil {
 				ref = s
@@ -170,8 +170,33 @@ func TestPortfolioDeterministic(t *testing.T) {
 			}
 			if s.II != ref.II || s.Strategy != ref.Strategy ||
 				!reflect.DeepEqual(s.Time, ref.Time) || !reflect.DeepEqual(s.Cluster, ref.Cluster) {
-				t.Fatalf("%s: workers=%d disagrees with workers=1 (II %d vs %d, strategy %v vs %v)",
-					l.Name, workers, s.II, ref.II, s.Strategy, ref.Strategy)
+				t.Fatalf("%s: the second run disagrees with the first (II %d vs %d, strategy %v vs %v)",
+					l.Name, s.II, ref.II, s.Strategy, ref.Strategy)
+			}
+		}
+	}
+}
+
+// TestPortfolioStatsReproducible: the portfolio runs its strategies in a
+// fixed order, so the work counters are a function of the input like the
+// schedule itself. Two runs of the exhaustive and optimal tiers must agree
+// on every Stats field as well as on II, Time and Cluster. CI runs it at
+// -cpu 1,4: GOMAXPROCS must not reach the counters either.
+func TestPortfolioStatsReproducible(t *testing.T) {
+	cfg := machine.Clustered(6)
+	loops := corpus.Stressed()[:48]
+	for _, effort := range []Effort{EffortExhaustive, EffortOptimal} {
+		for _, l := range loops {
+			a, errA := ScheduleLoop(l, cfg, Options{Effort: effort})
+			b, errB := ScheduleLoop(l, cfg, Options{Effort: effort})
+			if errA != nil || errB != nil {
+				t.Fatalf("%s %v: %v / %v", l.Name, effort, errA, errB)
+			}
+			if a.Stats != b.Stats {
+				t.Fatalf("%s %v: stats differ between identical runs: %+v vs %+v", l.Name, effort, a.Stats, b.Stats)
+			}
+			if a.II != b.II || !reflect.DeepEqual(a.Time, b.Time) || !reflect.DeepEqual(a.Cluster, b.Cluster) {
+				t.Fatalf("%s %v: schedules differ between identical runs (II %d vs %d)", l.Name, effort, a.II, b.II)
 			}
 		}
 	}
@@ -204,7 +229,7 @@ func TestPortfolioNeverWorse(t *testing.T) {
 		}
 	}
 	if improved == 0 {
-		t.Fatalf("exhaustive portfolio improved no loop of the stressed slice; the race is not racing")
+		t.Fatalf("exhaustive portfolio improved no loop of the stressed slice; the portfolio never helps")
 	}
 }
 
@@ -229,7 +254,7 @@ func TestPortfolioExplicitStrategy(t *testing.T) {
 	if s.Strategy != StrategyRoundRobin {
 		t.Fatalf("strategy = %v, want round-robin", s.Strategy)
 	}
-	// A two-strategy race records the portfolio width.
+	// A two-strategy portfolio records its width.
 	s, err = ScheduleLoop(l, cfg, Options{Strategies: []Strategy{StrategyLoadBalanced, StrategyRoundRobin}})
 	if err != nil {
 		t.Fatal(err)

@@ -43,11 +43,11 @@ type Schedule struct {
 	RecMII int
 
 	// Strategy is the cluster-assignment strategy the schedule was
-	// produced under: StrategyBaseline unless a portfolio raced
+	// produced under: StrategyBaseline unless a portfolio tried
 	// alternatives or Options.Strategies pinned another. A single-strategy
 	// run reports its configured strategy even through the compact
 	// fallback (where the restricted cluster subset makes every ordering
-	// equivalent); a portfolio race that ends in the compact fallback
+	// equivalent); a portfolio search that ends in the compact fallback
 	// reports baseline.
 	Strategy Strategy
 
@@ -100,7 +100,7 @@ type Stats struct {
 	MovesInserted int // move operations added (AllowMoves only)
 
 	// StrategiesTried is the portfolio width: the number of strategies
-	// raced for this schedule. Zero means no portfolio ran (the fast
+	// tried for this schedule. Zero means no portfolio ran (the fast
 	// single-strategy path), which is how downstream reporting knows not
 	// to print portfolio detail for historical outputs.
 	StrategiesTried int
@@ -119,21 +119,16 @@ type Options struct {
 	// BudgetRatio bounds placements per II attempt at BudgetRatio*numOps
 	// (Rau's budget); 0 means DefaultBudgetRatio.
 	BudgetRatio int
-	// Effort selects the portfolio of cluster-assignment strategies raced
+	// Effort selects the portfolio of cluster-assignment strategies tried
 	// per candidate II on clustered machines (portfolio.go). The zero
 	// value, EffortFast, runs the single baseline heuristic — bit-for-bit
 	// the scheduler's historical behaviour.
 	Effort Effort
 	// Strategies, when non-empty, overrides the effort-derived portfolio
 	// with an explicit strategy list. Order matters: the position is the
-	// race's deterministic tie-break index. Duplicates and out-of-range
+	// portfolio's deterministic tie-break index. Duplicates and out-of-range
 	// values are dropped.
 	Strategies []Strategy
-	// RaceWorkers bounds the parallelism of a portfolio race; 0 uses
-	// GOMAXPROCS. It affects wall-clock only, never the chosen schedule,
-	// so it must not participate in any cache key.
-	RaceWorkers int
-
 	// refImpl routes every feasibility probe through the scalar reference
 	// implementation (ref.go) instead of the packed bitset one. It exists
 	// for the differential harness, which schedules corpora both ways and
@@ -196,7 +191,7 @@ var (
 	ErrNoSchedule = errors.New("sched: no schedule found within II and budget limits")
 )
 
-// strategySet resolves the strategies a compilation races: the explicit
+// strategySet resolves the strategies a compilation tries: the explicit
 // Strategies list when given (filtered and deduplicated), otherwise the
 // effort level's portfolio. Single-cluster machines always collapse to the
 // baseline — every ordering of one cluster is the same ordering.
@@ -223,7 +218,7 @@ func (o Options) strategySet(numClusters int) []Strategy {
 // ScheduleLoop modulo-schedules the loop on the given machine. It works for
 // both single-cluster and clustered configurations; for the latter it runs
 // the paper's partitioned IMS — as a single heuristic at EffortFast, or as
-// a strategy portfolio raced per candidate II at the higher effort levels.
+// a strategy portfolio tried per candidate II at the higher effort levels.
 func ScheduleLoop(l *ir.Loop, cfg machine.Config, opts Options) (*Schedule, error) {
 	return ScheduleLoopContext(context.Background(), l, cfg, opts)
 }

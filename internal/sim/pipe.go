@@ -420,21 +420,29 @@ func depthLimit(m *machine.Config, loc queue.Location) int {
 	return 0
 }
 
-// VerifyPipeline runs both executions and compares their stores. It is the
-// end-to-end check used by tests and cmd/vliwsched. Both executions share
-// one pooled arena, so a steady stream of verifications allocates only
-// what the structural Verify calls and the topological sort do.
+// VerifyPipeline runs both executions over n iterations (0 = the loop's
+// trip count) and compares their stores. It is the end-to-end check used
+// by tests and cmd/vliwsched, with the single-write property enforced.
 func VerifyPipeline(s *sched.Schedule, alloc *queue.Allocation, n int) error {
-	if n <= 0 {
-		n = s.Loop.TripCount()
+	return VerifyPipelineWith(s, alloc, PipeOptions{N: n})
+}
+
+// VerifyPipelineWith is VerifyPipeline under explicit pipelined-execution
+// options; a loop compiled without copy insertion needs AllowMultiWrite.
+// Both executions share one pooled arena, so a steady stream of
+// verifications allocates only what the structural Verify calls and the
+// topological sort do.
+func VerifyPipelineWith(s *sched.Schedule, alloc *queue.Allocation, opt PipeOptions) error {
+	if opt.N <= 0 {
+		opt.N = s.Loop.TripCount()
 	}
 	a := arenaPool.Get().(*arena)
 	defer arenaPool.Put(a)
-	_, ref, err := a.reference(s.Loop, n)
+	_, ref, err := a.reference(s.Loop, opt.N)
 	if err != nil {
 		return err
 	}
-	pipe, err := a.pipelined(s, alloc, PipeOptions{N: n})
+	pipe, err := a.pipelined(s, alloc, opt)
 	if err != nil {
 		return err
 	}

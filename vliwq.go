@@ -355,7 +355,11 @@ func compileStaged(ctx context.Context, l *Loop, opts Options, until Stage) (*Re
 				n = 64
 			}
 		}
-		if err := sim.VerifyPipeline(s, alloc, n); err != nil {
+		// Without copy insertion a multi-consumer value writes every
+		// consumer's queue at once: the baseline machine of the paper's
+		// Fig. 1(c), which the simulator models as multi-write.
+		pipe := sim.PipeOptions{N: n, AllowMultiWrite: opts.CopyShape == copyins.None}
+		if err := sim.VerifyPipelineWith(s, alloc, pipe); err != nil {
 			return nil, fmt.Errorf("vliwq: verification failed: %w", err)
 		}
 		stamp(StageVerify, t0)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vliwq"
+	"vliwq/internal/copyins"
 	"vliwq/internal/corpus"
 )
 
@@ -63,6 +64,21 @@ func TestCompileClusteredVerified(t *testing.T) {
 		}
 		if res.RingQueues < 0 {
 			t.Fatalf("%s: bad ring usage", k)
+		}
+	}
+}
+
+// TestCompileCopiesOffVerified: without copy insertion a value with
+// several consumers writes all their queues at once (the paper's Fig. 1(c)
+// baseline). Compile must verify such loops on a multi-write machine
+// rather than reject them for their fanout.
+func TestCompileCopiesOffVerified(t *testing.T) {
+	loops := corpus.Standard()[:64]
+	for _, m := range []vliwq.Machine{vliwq.SingleCluster(4), vliwq.Clustered(4)} {
+		for _, l := range loops {
+			if _, err := vliwq.Compile(l, vliwq.Options{Machine: m, CopyShape: copyins.None}); err != nil {
+				t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
+			}
 		}
 	}
 }
