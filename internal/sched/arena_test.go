@@ -82,13 +82,12 @@ func TestTryIIAttemptAllocs(t *testing.T) {
 	cfg := machine.Clustered(4)
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil, false)
-	if !st.tryII(8) {
+	st.init(l, cfg, DefaultBudgetRatio, false)
+	if !st.attempt(StrategyBaseline, nil, 1, 8) {
 		t.Fatalf("stencil3 did not schedule at II=8")
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		st.reset()
-		if !st.tryII(8) {
+		if !st.attempt(StrategyBaseline, nil, 1, 8) {
 			t.Fatalf("stencil3 did not schedule at II=8")
 		}
 	})
@@ -118,7 +117,8 @@ func TestForceSlotUnschedulable(t *testing.T) {
 
 	// Pinned to a cluster that cannot host a move: forceSlot finds no free
 	// unit and no occupant to evict.
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil, false)
+	st.init(l, cfg, DefaultBudgetRatio, false)
+	st.reset()
 	st.pinned[0] = 0
 	if st.tryII(1) {
 		t.Errorf("tryII succeeded for a pinned op on a cluster without its FU class")
@@ -126,8 +126,8 @@ func TestForceSlotUnschedulable(t *testing.T) {
 
 	// Unpinned with no providing cluster anywhere: the preference list is
 	// empty.
-	st.init(l, cfg, DefaultBudgetRatio, StrategyBaseline, nil, false)
-	if st.tryII(1) {
+	st.init(l, cfg, DefaultBudgetRatio, false)
+	if st.attempt(StrategyBaseline, nil, 1, 1) {
 		t.Errorf("tryII succeeded for an op whose FU class no cluster offers")
 	}
 }

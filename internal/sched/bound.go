@@ -20,12 +20,7 @@
 
 package sched
 
-import (
-	"context"
-
-	"vliwq/internal/ir"
-	"vliwq/internal/machine"
-)
+import "context"
 
 // Bound is the optimality certificate of a schedule produced under
 // Options.Effort: optimal. The zero value (Lower == 0) means no certificate
@@ -62,51 +57,42 @@ func exactNodeBudget(ratio int) int64 {
 	return int64(ratio) * exactNodeBudgetPerRatio
 }
 
-// scheduleOptimal implements Options.Effort: optimal. It obtains an
-// incumbent from the heuristic portfolio (the same search the exhaustive
-// tier runs), then certifies or improves it with the exact searcher, walking
-// every integer II in [MII, incumbent II). Note the ladder deliberately
-// does not use candidateIIs: a proof of optimality needs every integer
-// rung, while the heuristic ladder is allowed to skip.
-func scheduleOptimal(ctx context.Context, st *state, l *ir.Loop, cfg machine.Config, opts Options, strats []Strategy, resMII, recMII, maxII int) (*Schedule, error) {
-	var s *Schedule
-	var err error
-	if len(strats) > 1 {
-		s, err = schedulePortfolio(st, l, cfg, opts, strats, resMII, recMII, maxII)
-	} else {
-		s, err = scheduleSingle(st, l, cfg, opts, strats[0], resMII, recMII, maxII)
-	}
-	if err != nil {
-		return nil, err
-	}
+// certify implements Options.Effort: optimal on top of the heuristic
+// incumbent s, which the portfolio produced with the same strategy set the
+// exhaustive tier tries: it certifies or improves s with the exact
+// searcher, walking every integer II in [MII, incumbent II) over the call's
+// loop facts. Note the ladder deliberately does not use candidateIIs: a
+// proof of optimality needs every integer rung, while the heuristic ladder
+// is allowed to skip.
+func certify(ctx context.Context, st *state, s *Schedule) *Schedule {
 	mii := s.MII()
 	s.Bound = Bound{Lower: mii}
 	if s.II == mii {
 		// The heuristic already reached the lower bound; MII-optimality
 		// needs no search.
 		s.Bound.Optimal = true
-		return s, nil
+		return s
 	}
 	// The exact model covers the pristine loop under the ring rule. Move
 	// insertion grows the op set mid-search (so "no schedule at II" would
 	// not be a sound lower bound for the moves-extended machine), and
 	// machines wider than one mask word have no packed cluster masks;
 	// both keep the trivial MII certificate.
-	if cfg.AllowMoves || cfg.NumClusters() > 64 || len(s.Loop.Ops) != len(l.Ops) {
-		return s, nil
+	if st.cfg.AllowMoves || st.cfg.NumClusters() > 64 || len(s.Loop.Ops) != len(st.orig.Ops) {
+		return s
 	}
-	ex := newExactSearcher(l, &cfg)
-	budget := exactNodeBudget(opts.budgetRatio())
+	ex := newExactSearcher(&st.facts, &st.cfg)
+	budget := exactNodeBudget(st.budgetRatio)
 	for ii := mii; ii < s.II; ii++ {
 		if ctx.Err() != nil {
 			s.Bound.DeadlineCut = true
-			return s, nil
+			return s
 		}
 		res := ex.search(ctx, ii, budget)
 		s.Stats.PrunedNodes += ex.pruned
 		switch res {
 		case exactFound:
-			opt := ex.schedule(cfg, ii, resMII, recMII)
+			opt := ex.schedule(st.cfg, ii, s.ResMII, s.RecMII)
 			// The incumbent's strategy and accumulated work carry over:
 			// the exact schedule supersedes the portfolio's result, and
 			// every smaller II was exhausted first, so ii is proved
@@ -114,16 +100,16 @@ func scheduleOptimal(ctx context.Context, st *state, l *ir.Loop, cfg machine.Con
 			opt.Strategy = s.Strategy
 			opt.Stats = s.Stats
 			opt.Bound = Bound{Lower: ii, Optimal: true}
-			return opt, nil
+			return opt
 		case exactInfeasible:
 			s.Bound.Lower = ii + 1
 		case exactAborted:
 			s.Bound.DeadlineCut = ex.ctxCut
-			return s, nil
+			return s
 		}
 	}
 	// Every II below the incumbent is exhausted: the heuristic schedule
 	// was optimal all along.
 	s.Bound.Optimal = true
-	return s, nil
+	return s
 }

@@ -61,22 +61,16 @@ const (
 )
 
 // exactSearcher is the per-loop search arena, reused across the II ladder
-// of one scheduleOptimal call.
+// of one certify call. It reads the loop, latencies, FU classes, CSR views,
+// cluster masks and per-II heights from the call's loop facts.
 type exactSearcher struct {
-	l   *ir.Loop
-	cfg *machine.Config
-	n   int
-	ii  int
-
-	lat          []int
-	class        []machine.FUClass
-	preds, succs ir.Adj
-	adjMasks     []uint64
-	classMask    [machine.NumClasses]uint64
-	symmetric    bool // identical clusters: ring rotation is an automorphism
+	*loopFacts
+	cfg       *machine.Config
+	ii        int
+	symmetric bool // identical clusters: ring rotation is an automorphism
 
 	order  []int32 // static placement order: height desc, then ID asc
-	height []int
+	height []int   // the facts' heights at ii, read-only
 
 	table  mrt
 	placed []bool
@@ -117,21 +111,12 @@ func symmetricClusters(cfg *machine.Config) bool {
 	return true
 }
 
-// newExactSearcher builds the arena for one pristine loop on one machine.
-// The caller guarantees NumClusters <= 64 (the packed-mask invariant).
-func newExactSearcher(l *ir.Loop, cfg *machine.Config) *exactSearcher {
-	n := len(l.Ops)
-	ex := &exactSearcher{l: l, cfg: cfg, n: n}
-	ex.lat = make([]int, n)
-	ex.class = make([]machine.FUClass, n)
-	for i, op := range l.Ops {
-		ex.lat[i] = op.Kind.Latency()
-		ex.class[i] = machine.ClassOf(op.Kind)
-	}
-	l.PredsInto(&ex.preds)
-	l.SuccsInto(&ex.succs)
-	ex.adjMasks = make([]uint64, cfg.NumClusters())
-	_, ex.classMask = maskInto(ex.adjMasks, cfg)
+// newExactSearcher builds the arena for the pristine loop the facts were
+// bound to on cfg, the machine they were bound on. The caller guarantees
+// NumClusters <= 64 (the packed-mask invariant).
+func newExactSearcher(f *loopFacts, cfg *machine.Config) *exactSearcher {
+	n := f.n
+	ex := &exactSearcher{loopFacts: f, cfg: cfg}
 	ex.symmetric = symmetricClusters(cfg)
 	ex.order = make([]int32, n)
 	ex.placed = make([]bool, n)
@@ -159,7 +144,7 @@ func (ex *exactSearcher) search(ctx context.Context, ii int, budget int64) exact
 	for i := range ex.placed {
 		ex.placed[i] = false
 	}
-	ex.height = heightsInto(ex.height, ex.lat, ex.l.Deps, ii, ex.n)
+	ex.height = ex.heightsFor(ii)
 	for i := range ex.order {
 		ex.order[i] = int32(i)
 	}
@@ -389,7 +374,7 @@ func (ex *exactSearcher) schedule(cfg machine.Config, ii, resMII, recMII int) *S
 		cluster[i] = int(ex.cluOf[i])
 	}
 	return &Schedule{
-		Loop:    ex.l,
+		Loop:    ex.loop,
 		Machine: cfg,
 		II:      ii,
 		Time:    time,

@@ -8,30 +8,29 @@ import (
 	"vliwq/internal/machine"
 )
 
-// state carries one scheduling run. A run makes several II attempts; each
-// attempt works on per-op arrays restored to their pristine values. The
-// state is a reusable scratch arena: every slice, the modulo reservation
-// table and the worklist keep their storage across II attempts and — via
-// statePool — across ScheduleLoop calls, so the hot path of an attempt
-// allocates only when the loop grows past any previously seen size.
+// state carries one scheduling run. A run makes several attempts — one
+// per (strategy, candidate II) — and each attempt works on per-op arrays
+// restored to their pristine values. The state is a reusable scratch arena:
+// every slice, the modulo reservation table and the worklist keep their
+// storage across attempts and — via statePool — across ScheduleLoop calls,
+// so the hot path of an attempt allocates only when the loop grows past any
+// previously seen size.
 //
-// Cross-attempt reuse goes further than storage: facts that depend only on
-// the pristine loop — the CSR precedence views, the per-op latency and FU
-// class tables, the per-cluster adjacency masks — are computed once per run
-// and shared by every II attempt. The working loop aliases the input
-// (copy-on-write): only an attempt that actually inserts move operations
-// pays for private op/dep copies and a CSR rebuild (detach, moves.go).
-// When a portfolio tries several strategies on one loop, the same facts are
-// shared across those attempts through a raceMemo (memo.go).
+// Cross-attempt reuse goes further than storage: the loop facts (facts.go)
+// — the CSR precedence views, the per-op latency and FU class tables, the
+// per-cluster adjacency masks, the per-II heights — are computed once per
+// ScheduleLoop call and read by every attempt. The working loop aliases the
+// input (copy-on-write): only an attempt that actually inserts move
+// operations pays for private op/dep copies and a CSR rebuild (detach,
+// moves.go).
 type state struct {
 	orig        *ir.Loop
 	loop        *ir.Loop // working view; ops are shared, never mutated
 	cfg         machine.Config
 	budgetRatio int
-	strat       Strategy // cluster-preference policy for this run
-	memo        *raceMemo
-	ref         bool // route probes through the scalar reference (ref.go)
-	mutated     bool // move ops inserted: loop/CSR detached from the input
+	strat       Strategy // cluster-preference policy of the current attempt
+	ref         bool     // route probes through the scalar reference (ref.go)
+	mutated     bool     // move ops inserted: loop/CSR detached from the input
 
 	ii       int
 	ordinal  int   // 1-based position of the current attempt, drives the budget multiplier
@@ -41,29 +40,19 @@ type state struct {
 	never    []bool
 	pinned   []int // fixed cluster for inserted moves, -1 otherwise
 	height   []int
-	preds    ir.Adj // working views: alias basePreds/baseSuccs until detach
+	lat      []int             // working per-op latency: facts.lat, grown by move insertion
+	class    []machine.FUClass // working per-op FU class: facts.class, grown likewise
+	preds    ir.Adj            // working views: facts.preds/succs until detach
 	succs    ir.Adj
 	table    mrt
 	load     []int // cached per-cluster reservation counts
 	allowed  []int // compact-mode cluster subset (nil = free placement)
 
-	// Pristine-loop facts, valid for every attempt until detach.
-	basePreds ir.Adj // header copies: own CSR, or the raceMemo's shared one
-	baseSuccs ir.Adj
-	ownPreds  ir.Adj // private CSR arenas for memo-less runs
-	ownSuccs  ir.Adj
+	facts     loopFacts
 	mutPreds  ir.Adj // private CSR arenas rebuilt after move insertion
 	mutSuccs  ir.Adj
 	opsArena  []*ir.Op // copy-on-write buffers for detach
 	depsArena []ir.Dep
-	lat       []int                      // per-op latency: ownLat, or the raceMemo's shared table
-	class     []machine.FUClass          // per-op FU class: ownClass, or the raceMemo's
-	adjMasks  []uint64                   // per-cluster bitmask of ring-adjacent clusters
-	allMask   uint64                     // low NumClusters bits set
-	classMask [machine.NumClasses]uint64 // per-class bitmask of clusters providing it
-	ownLat    []int                      // private arenas backing the above for memo-less runs:
-	ownClass  []machine.FUClass          // a memo-bound header must never be refilled in place,
-	ownAdj    []uint64                   // the memo may already be pooled and rebound elsewhere
 	wl        worklist
 	prefBuf   []clusterPref // scratch for the reference preference ordering (ref.go)
 	prefOut   []int         // scratch for the returned preference order
@@ -74,6 +63,8 @@ type state struct {
 	adjBuf    []bool        // per-cluster ring-adjacency verdict (ref path)
 	rec       recScratch    // RecMII scratch (mii.go)
 
+	// stats accumulates the call's work counters over every attempt;
+	// MovesInserted is filled in from the returned schedule.
 	stats Stats
 }
 
@@ -82,17 +73,13 @@ type state struct {
 // the arena slices are the dominant allocation otherwise.
 var statePool = sync.Pool{New: func() any { return new(state) }}
 
-// init binds the arena to a new input loop, reusing all prior storage.
-// memo, when non-nil, supplies the shared pristine-loop facts of a
-// portfolio search; ref routes feasibility probes through the scalar
-// reference implementation (the differential harness's toggle).
-func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Strategy, memo *raceMemo, ref bool) {
+// init binds the arena to one ScheduleLoop call, reusing all prior storage,
+// and computes the call's loop facts. ref routes feasibility probes through
+// the scalar reference implementation (the differential harness's toggle).
+func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, ref bool) {
 	st.orig = l
 	st.cfg = cfg
 	st.budgetRatio = budgetRatio
-	st.strat = strat
-	st.memo = memo
-	st.ordinal = 0
 	st.stats = Stats{}
 	if st.loop == nil {
 		st.loop = &ir.Loop{}
@@ -100,42 +87,24 @@ func (st *state) init(l *ir.Loop, cfg machine.Config, budgetRatio int, strat Str
 	st.loop.Name = l.Name
 	st.loop.Trip = l.Trip
 	st.loop.Unroll = l.Unroll
-
-	n := len(l.Ops)
-	nc := cfg.NumClusters()
 	// The packed adjacency masks hold one bit per cluster; machines wider
 	// than a word fall back to the scalar reference wholesale (the bitset
 	// fast path gains nothing there anyway).
-	st.ref = ref || nc > 64
-	if memo != nil {
-		// Share every pristine-loop and machine fact the memo computed
-		// once. The three-index cap on lat/class forces any growOp append
-		// to reallocate privately instead of writing into shared storage.
-		st.lat = memo.lat[:n:n]
-		st.class = memo.class[:n:n]
-		st.adjMasks = memo.adjMasks
-		st.allMask = memo.allMask
-		st.classMask = memo.classMask
-		st.basePreds, st.baseSuccs = memo.preds, memo.succs
-		st.reset()
-		return
-	}
-	st.ownLat = refill(st.ownLat, n, 0)
-	st.ownClass = refill(st.ownClass, n, 0)
-	for i, op := range l.Ops {
-		st.ownLat[i] = op.Kind.Latency()
-		st.ownClass[i] = machine.ClassOf(op.Kind)
-	}
-	st.lat, st.class = st.ownLat, st.ownClass
-	if !st.ref {
-		st.ownAdj = refill(st.ownAdj, nc, 0)
-		st.allMask, st.classMask = maskInto(st.ownAdj, &cfg)
-		st.adjMasks = st.ownAdj
-	}
-	l.PredsInto(&st.ownPreds)
-	l.SuccsInto(&st.ownSuccs)
-	st.basePreds, st.baseSuccs = st.ownPreds, st.ownSuccs
+	st.ref = ref || cfg.NumClusters() > 64
+	st.facts.bind(l, &st.cfg)
+}
+
+// attempt tries one strategy at one II on the pristine loop, placing only
+// on the allowed clusters when allowed is non-nil (the compact fallback).
+// ordinal is the attempt's 1-based position on its II ladder. On success
+// the placement stays in the arena until the next attempt.
+func (st *state) attempt(strat Strategy, allowed []int, ordinal, ii int) bool {
+	st.strat = strat
 	st.reset()
+	st.allowed = allowed
+	st.ordinal = ordinal
+	st.stats.Attempts++
+	return st.tryII(ii)
 }
 
 // maskInto fills adj (length NumClusters) with the per-cluster ring
@@ -192,8 +161,10 @@ func (st *state) reset() {
 	st.prevTime = refill(st.prevTime, n, -1)
 	st.pinned = refill(st.pinned, n, -1)
 	st.never = refill(st.never, n, true)
-	st.preds = st.basePreds
-	st.succs = st.baseSuccs
+	st.lat = st.facts.lat
+	st.class = st.facts.class
+	st.preds = st.facts.preds
+	st.succs = st.facts.succs
 }
 
 // detach gives the working loop private op and dependence storage before
@@ -342,10 +313,10 @@ func (st *state) findSlot(id int) (int, int, int, bool) {
 			cnt[st.cluster[d.To]]++
 		}
 	}
-	adjMask := st.allMask
+	adjMask := st.facts.allMask
 	for x := 0; x < nc; x++ {
 		if cnt[x] > 0 {
-			adjMask &= st.adjMasks[x]
+			adjMask &= st.facts.adjMasks[x]
 		}
 	}
 	class := st.class[id]
@@ -399,7 +370,7 @@ func (st *state) findSlot(id int) (int, int, int, bool) {
 		requireAdj := pass == 0
 		bestT, bestC := -1, -1
 		var bestKey clusterPref
-		for m := st.classMask[class]; m != 0; m &= m - 1 {
+		for m := st.facts.classMask[class]; m != 0; m &= m - 1 {
 			c := bits.TrailingZeros64(m)
 			if pinned >= 0 && c != pinned {
 				continue
@@ -585,7 +556,7 @@ func (st *state) forceSlot(id, estart int, wl *worklist) (int, int, bool) {
 	}
 	freeC, allC := -1, -1
 	var freeKey, allKey clusterPref
-	for m := st.classMask[class]; m != 0; m &= m - 1 {
+	for m := st.facts.classMask[class]; m != 0; m &= m - 1 {
 		c := bits.TrailingZeros64(m)
 		p := st.prefKey(id, c, cnt)
 		if allC < 0 || p.before(allKey) {
@@ -683,7 +654,7 @@ func (st *state) settle(id int, wl *worklist) int {
 			continue
 		}
 		if d.Kind == ir.Flow && st.cluster[d.To] != c {
-			if st.adjMasks[c]>>uint(st.cluster[d.To])&1 == 0 {
+			if st.facts.adjMasks[c]>>uint(st.cluster[d.To])&1 == 0 {
 				st.evict(d.To, wl)
 				continue
 			}
@@ -704,7 +675,7 @@ func (st *state) settle(id int, wl *worklist) int {
 		if tf < 0 || st.cluster[d.From] == c {
 			continue
 		}
-		if st.adjMasks[c]>>uint(st.cluster[d.From])&1 == 0 {
+		if st.facts.adjMasks[c]>>uint(st.cluster[d.From])&1 == 0 {
 			st.evict(d.From, wl)
 			continue
 		}
@@ -782,16 +753,15 @@ func (st *state) settleSlow(id int, wl *worklist) int {
 // II >= RecMII there is no positive cycle, so the fixpoint converges within
 // numOps passes.
 //
-// Heights depend only on the pristine graph and the II, so a portfolio
-// search computes them once per II in the shared raceMemo and every
-// strategy copies the result; only an attempt that grew the graph with
-// move operations recomputes privately.
+// Heights depend only on the pristine graph and the II, so the loop facts
+// compute them once per II and every attempt copies the result; only an
+// attempt that grew the graph with move operations recomputes privately.
 func (st *state) computeHeights() {
-	if !st.mutated && st.memo != nil {
-		st.height = append(st.height[:0], st.memo.heightsFor(st.ii)...)
+	if st.mutated {
+		st.height = heightsInto(st.height, st.lat, st.loop.Deps, st.ii, len(st.loop.Ops))
 		return
 	}
-	st.height = heightsInto(st.height, st.lat, st.loop.Deps, st.ii, len(st.loop.Ops))
+	st.height = append(st.height[:0], st.facts.heightsFor(st.ii)...)
 }
 
 // heightsInto computes the height fixpoint into h (reusing its storage):

@@ -38,9 +38,9 @@ func (st *state) insertMoveChain(d ir.Dep, wl *worklist) int {
 	st.pathBuf = path
 
 	// About to mutate the op and dependence lists: give the working loop
-	// private storage. Until here they alias the pristine input (and, in a
-	// portfolio search, the CSR views are the memo's, shared by every
-	// strategy attempt), so mutating in place would corrupt later attempts.
+	// private storage. Until here they alias the pristine input (and the CSR
+	// views are the loop facts', read by every attempt of the call), so
+	// mutating in place would corrupt later attempts.
 	st.detach()
 
 	// Remove the offending dependence (first value match).
@@ -72,7 +72,6 @@ func (st *state) insertMoveChain(d ir.Dep, wl *worklist) int {
 		st.loop.AddDep(ir.Dep{From: prev, To: m.ID, Dist: dist, Kind: ir.Flow})
 		prev, dist = m.ID, 0
 		added++
-		st.stats.MovesInserted++
 		wl.push(m.ID)
 	}
 	st.loop.AddDep(ir.Dep{From: prev, To: d.To, Dist: dist, Kind: ir.Flow})
@@ -80,7 +79,7 @@ func (st *state) insertMoveChain(d ir.Dep, wl *worklist) int {
 	// The graph changed shape: rebuild adjacency and priorities, and
 	// restore the heap invariant under the new heights. The rebuild goes
 	// into the state's private mutPreds/mutSuccs arenas — never into the
-	// base views, whose storage may be shared with other racing attempts.
+	// loop facts' views, which later attempts of the call still read.
 	st.loop.PredsInto(&st.mutPreds)
 	st.loop.SuccsInto(&st.mutSuccs)
 	st.preds = st.mutPreds

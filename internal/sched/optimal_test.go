@@ -186,7 +186,9 @@ func TestExactSearchRejectsInfeasibleII(t *testing.T) {
 		if _, err := ResMII(l, cfg); err != nil {
 			continue
 		}
-		ex := newExactSearcher(l, &cfg)
+		var f loopFacts
+		f.bind(l, &cfg)
+		ex := newExactSearcher(&f, &cfg)
 		switch got := ex.search(context.Background(), rec-1, 1<<20); got {
 		case exactFound:
 			t.Fatalf("%s: search found a schedule at II=%d < RecMII=%d", l.Name, rec-1, rec)
@@ -215,7 +217,9 @@ func TestExactFoundScheduleVerifies(t *testing.T) {
 			if recMII > mii {
 				mii = recMII
 			}
-			ex := newExactSearcher(l, &cfg)
+			var f loopFacts
+			f.bind(l, &cfg)
+			ex := newExactSearcher(&f, &cfg)
 			for ii := mii; ii < mii+4; ii++ {
 				st := ex.search(context.Background(), ii, 60000)
 				if st != exactFound {

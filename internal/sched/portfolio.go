@@ -1,5 +1,7 @@
 // Portfolio scheduling: try several cluster-assignment strategies per
-// candidate II and keep the best schedule.
+// candidate II and keep the best schedule. This is the scheduler's one
+// driver: every effort tier walks this ladder, EffortFast with a portfolio
+// of one.
 //
 // The paper's partitioned IMS commits to one cluster-preference heuristic,
 // and its Fig. 6 degradation is exactly the cost of that commitment: when
@@ -19,11 +21,12 @@
 //     lowest index wins outright and higher indices never run.
 //
 // The strategies run one after another, in index order, on the caller's
-// state arena. Parallelism lives one level up, across loops: service
-// requests, the /batch pool, the experiment sweeps and program regions each
-// schedule many loops at once, just as the partitioned scheduler runs one
-// sequential scheduler per partition. The schedule and the work counters in
-// Stats are therefore a function of the input alone.
+// state arena, over one set of loop facts (facts.go). Parallelism lives one
+// level up, across loops: service requests, the /batch pool, the
+// experiment sweeps and program regions each schedule many loops at once,
+// just as the partitioned scheduler runs one sequential scheduler per
+// partition. The schedule and the work counters in Stats are therefore a
+// function of the input alone.
 
 package sched
 
@@ -31,7 +34,6 @@ import (
 	"fmt"
 
 	"vliwq/internal/ir"
-	"vliwq/internal/machine"
 )
 
 // attempt is a successful (strategy, II) try, copied out of the state arena.
@@ -65,102 +67,75 @@ func (st *state) span() int {
 	return n
 }
 
-// schedulePortfolio walks the candidate-II ladder trying every strategy at
-// each step. See the package comment above for the selection rule.
-func schedulePortfolio(st *state, l *ir.Loop, cfg machine.Config, opts Options, strats []Strategy, resMII, recMII, maxII int) (*Schedule, error) {
-	mii := resMII
-	if recMII > mii {
-		mii = recMII
-	}
-	ratio := opts.budgetRatio()
-	st.iiBuf = candidateIIs(st.iiBuf, mii, maxII)
-	iis := st.iiBuf
-	memo := newRaceMemo(l, &cfg)
-	defer memo.release()
+// moves returns the number of move operations the current attempt
+// inserted.
+func (st *state) moves() int {
+	return len(st.loop.Ops) - len(st.orig.Ops)
+}
 
-	total := Stats{StrategiesTried: len(strats)}
-	for ord, ii := range iis {
-		var best attempt
-		found := false
+// capture copies the arena's placement into a — the next attempt
+// reinitialises the arena — reusing the storage of the incumbent old it
+// replaces.
+func (st *state) capture(a, old attempt) attempt {
+	a.loop = st.orig
+	if a.moves > 0 {
+		a.loop = st.loop.Clone()
+	}
+	a.time = append(old.time[:0], st.time...)
+	a.cluster = append(old.cluster[:0], st.cluster...)
+	return a
+}
+
+// schedulePortfolio walks the candidate-II ladder trying every strategy at
+// each step, then the compact fallback. See the package comment above for
+// the selection rule.
+func schedulePortfolio(st *state, strats []Strategy, resMII, recMII, maxII int) (*Schedule, error) {
+	mii := max(resMII, recMII)
+	st.iiBuf = candidateIIs(st.iiBuf, mii, maxII)
+	var best attempt
+	ii := -1
+	for ord, rung := range st.iiBuf {
 		for _, strat := range strats {
-			// ordinal is the 1-based position of ii on the ladder; it seeds
-			// the budget multiplier so each strategy sees the same budget
-			// growth it would in the single-strategy search.
-			st.init(l, cfg, ratio, strat, memo, opts.refImpl)
-			st.ordinal = ord + 1
-			ok := st.tryII(ii)
-			total.Attempts++
-			total.Placements += st.stats.Placements
-			total.Evictions += st.stats.Evictions
-			if !ok {
+			// ord+1 seeds the budget multiplier: every strategy sees the
+			// budget growth of the rung it runs on.
+			if !st.attempt(strat, nil, ord+1, rung) {
 				continue
 			}
-			cand := attempt{strat: strat, loop: l, moves: st.stats.MovesInserted, length: st.span()}
-			if found && !cand.better(best) {
+			cand := attempt{strat: strat, moves: st.moves(), length: st.span()}
+			if ii >= 0 && !cand.better(best) {
 				continue
 			}
-			if len(st.loop.Ops) != len(l.Ops) {
-				cand.loop = st.loop.Clone()
-			}
-			// The arena is reinitialised by the next attempt: copy the
-			// placement out, into the storage of the incumbent it replaces.
-			cand.time = append(best.time[:0], st.time...)
-			cand.cluster = append(best.cluster[:0], st.cluster...)
-			best, found = cand, true
-			if ii == mii {
+			best, ii = st.capture(cand, best), rung
+			if rung == mii {
 				break
 			}
 		}
-		if !found {
-			continue
+		if ii >= 0 {
+			break
 		}
-		total.MovesInserted = best.moves
-		return &Schedule{
-			Loop:     best.loop,
-			Machine:  cfg,
-			II:       ii,
-			Time:     best.time,
-			Cluster:  best.cluster,
-			ResMII:   resMII,
-			RecMII:   recMII,
-			Strategy: best.strat,
-			Stats:    total,
-		}, nil
 	}
-
-	// No strategy scheduled anywhere on the ladder: fall back to the
-	// compact cluster-subset search, which cannot fail on a valid loop.
-	// Compact mode restricts placement to a mutually adjacent subset, so
-	// the preference ordering is irrelevant and the result reports the
-	// baseline strategy. The memo is still valid for the fallback.
-	st.init(l, cfg, ratio, StrategyBaseline, memo, opts.refImpl)
-	// Seed the attempt counter to the ladder length so the compact
-	// attempts run at the same (capped) budget multiplier they get in
-	// scheduleSingle after its full ladder — otherwise the portfolio's
-	// fallback would search with a smaller budget than the fast path and
-	// could land a strictly worse II. Only the attempts the fallback
-	// itself makes are added to the reported stats.
-	st.stats.Attempts = len(iis)
-	if ii := st.compactSchedule(mii, maxII); ii >= 0 {
-		resLoop := l
-		if len(st.loop.Ops) != len(l.Ops) {
-			resLoop = st.loop.Clone()
+	if ii < 0 {
+		// No strategy scheduled anywhere on the ladder: fall back to the
+		// compact cluster-subset search, which cannot fail on a valid loop.
+		if ii = st.compactSchedule(strats[0], mii, maxII, len(st.iiBuf)); ii < 0 {
+			return nil, fmt.Errorf("%w: %q on %s (MII=%d, maxII=%d)", ErrNoSchedule, st.orig.Name, st.cfg.Name, mii, maxII)
 		}
-		total.Attempts += st.stats.Attempts - len(iis)
-		total.Placements += st.stats.Placements
-		total.Evictions += st.stats.Evictions
-		total.MovesInserted = st.stats.MovesInserted
-		return &Schedule{
-			Loop:     resLoop,
-			Machine:  cfg,
-			II:       ii,
-			Time:     append([]int(nil), st.time...),
-			Cluster:  append([]int(nil), st.cluster...),
-			ResMII:   resMII,
-			RecMII:   recMII,
-			Strategy: StrategyBaseline,
-			Stats:    total,
-		}, nil
+		best = st.capture(attempt{strat: strats[0], moves: st.moves()}, best)
 	}
-	return nil, fmt.Errorf("%w: %q on %s (MII=%d, maxII=%d)", ErrNoSchedule, l.Name, cfg.Name, mii, maxII)
+	stats := st.stats
+	stats.MovesInserted = best.moves
+	if len(strats) > 1 {
+		stats.StrategiesTried = len(strats)
+	}
+	return &Schedule{
+		Loop:     best.loop,
+		Machine:  st.cfg,
+		II:       ii,
+		Time:     best.time,
+		Cluster:  best.cluster,
+		ResMII:   resMII,
+		RecMII:   recMII,
+		Strategy: best.strat,
+		Stats:    stats,
+	}, nil
 }

@@ -44,11 +44,10 @@ type Schedule struct {
 
 	// Strategy is the cluster-assignment strategy the schedule was
 	// produced under: StrategyBaseline unless a portfolio tried
-	// alternatives or Options.Strategies pinned another. A single-strategy
-	// run reports its configured strategy even through the compact
-	// fallback (where the restricted cluster subset makes every ordering
-	// equivalent); a portfolio search that ends in the compact fallback
-	// reports baseline.
+	// alternatives. A search that ends in the compact fallback (where the
+	// restricted cluster subset makes every ordering equivalent) reports
+	// the first strategy of its set, which is baseline on every effort
+	// tier.
 	Strategy Strategy
 
 	// Bound is the optimality certificate of the schedule. Only
@@ -97,12 +96,12 @@ type Stats struct {
 	Attempts      int // number of (II, strategy) attempts tried
 	Placements    int // total operation placements across attempts
 	Evictions     int // operations unscheduled to resolve conflicts
-	MovesInserted int // move operations added (AllowMoves only)
+	MovesInserted int // move operations in the returned schedule (AllowMoves only)
 
 	// StrategiesTried is the portfolio width: the number of strategies
-	// tried for this schedule. Zero means no portfolio ran (the fast
-	// single-strategy path), which is how downstream reporting knows not
-	// to print portfolio detail for historical outputs.
+	// tried for this schedule. Zero means a single strategy ran (EffortFast,
+	// or any effort on a single-cluster machine), which is how downstream
+	// reporting knows not to print portfolio detail for historical outputs.
 	StrategiesTried int
 
 	// PrunedNodes is the number of candidate placements the exact search
@@ -124,11 +123,11 @@ type Options struct {
 	// value, EffortFast, runs the single baseline heuristic — bit-for-bit
 	// the scheduler's historical behaviour.
 	Effort Effort
-	// Strategies, when non-empty, overrides the effort-derived portfolio
-	// with an explicit strategy list. Order matters: the position is the
-	// portfolio's deterministic tie-break index. Duplicates and out-of-range
-	// values are dropped.
-	Strategies []Strategy
+	// strategies, when non-empty, overrides the effort-derived portfolio
+	// with an explicit list of distinct strategies, in tie-break order. It
+	// is a test hook for pinning one strategy or an ad-hoc portfolio; no
+	// supported mode sets it.
+	strategies []Strategy
 	// refImpl routes every feasibility probe through the scalar reference
 	// implementation (ref.go) instead of the packed bitset one. It exists
 	// for the differential harness, which schedules corpora both ways and
@@ -192,33 +191,23 @@ var (
 )
 
 // strategySet resolves the strategies a compilation tries: the explicit
-// Strategies list when given (filtered and deduplicated), otherwise the
-// effort level's portfolio. Single-cluster machines always collapse to the
-// baseline — every ordering of one cluster is the same ordering.
+// test-hook list when given, otherwise the effort level's portfolio.
+// Single-cluster machines always collapse to the baseline — every ordering
+// of one cluster is the same ordering.
 func (o Options) strategySet(numClusters int) []Strategy {
-	if numClusters <= 1 {
+	switch {
+	case numClusters <= 1:
 		return []Strategy{StrategyBaseline}
-	}
-	if len(o.Strategies) > 0 {
-		out := make([]Strategy, 0, len(o.Strategies))
-		var seen [NumStrategies]bool
-		for _, s := range o.Strategies {
-			if s < NumStrategies && !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-		if len(out) > 0 {
-			return out
-		}
+	case len(o.strategies) > 0:
+		return o.strategies
 	}
 	return o.Effort.Strategies()
 }
 
 // ScheduleLoop modulo-schedules the loop on the given machine. It works for
 // both single-cluster and clustered configurations; for the latter it runs
-// the paper's partitioned IMS — as a single heuristic at EffortFast, or as
-// a strategy portfolio tried per candidate II at the higher effort levels.
+// the paper's partitioned IMS under the effort level's strategy portfolio
+// (portfolio.go), a portfolio of one at EffortFast.
 func ScheduleLoop(l *ir.Loop, cfg machine.Config, opts Options) (*Schedule, error) {
 	return ScheduleLoopContext(context.Background(), l, cfg, opts)
 }
@@ -241,74 +230,17 @@ func ScheduleLoopContext(ctx context.Context, l *ir.Loop, cfg machine.Config, op
 		return nil, err
 	}
 	// The scheduling state is acquired before the lower bounds so RecMII
-	// runs out of the same arena (recScratch) instead of allocating; the
-	// state then serves the single-strategy search or the portfolio's
-	// compact fallback directly.
+	// runs out of the same arena (recScratch) instead of allocating.
 	st := statePool.Get().(*state)
 	defer statePool.Put(st)
 	recMII := recMIIInto(l, &st.rec)
-	mii := resMII
-	if recMII > mii {
-		mii = recMII
+	maxII := opts.maxII(l, max(resMII, recMII))
+	st.init(l, cfg, opts.budgetRatio(), opts.refImpl)
+	s, err := schedulePortfolio(st, opts.strategySet(cfg.NumClusters()), resMII, recMII, maxII)
+	if err != nil || opts.Effort != EffortOptimal {
+		return s, err
 	}
-	maxII := opts.maxII(l, mii)
-	strats := opts.strategySet(cfg.NumClusters())
-	if opts.Effort == EffortOptimal {
-		return scheduleOptimal(ctx, st, l, cfg, opts, strats, resMII, recMII, maxII)
-	}
-	if len(strats) > 1 {
-		return schedulePortfolio(st, l, cfg, opts, strats, resMII, recMII, maxII)
-	}
-	return scheduleSingle(st, l, cfg, opts, strats[0], resMII, recMII, maxII)
-}
-
-// scheduleSingle is the historical single-strategy search: the candidate-II
-// ladder under one cluster-preference policy, then the compact fallbacks.
-func scheduleSingle(st *state, l *ir.Loop, cfg machine.Config, opts Options, strat Strategy, resMII, recMII, maxII int) (*Schedule, error) {
-	mii := resMII
-	if recMII > mii {
-		mii = recMII
-	}
-	st.init(l, cfg, opts.budgetRatio(), strat, nil, opts.refImpl)
-	finish := func(ii int) *Schedule {
-		// The state goes back to the pool, so the schedule takes copies of
-		// the placement arrays. When no move operations were inserted the
-		// working loop is identical to the input and the input is returned
-		// (downstream passes treat Schedule.Loop as read-only); otherwise
-		// the grown working copy is cloned out of the arena.
-		resLoop := l
-		if len(st.loop.Ops) != len(l.Ops) {
-			resLoop = st.loop.Clone()
-		}
-		time := make([]int, len(st.time))
-		copy(time, st.time)
-		cluster := make([]int, len(st.cluster))
-		copy(cluster, st.cluster)
-		return &Schedule{
-			Loop:     resLoop,
-			Machine:  cfg,
-			II:       ii,
-			Time:     time,
-			Cluster:  cluster,
-			ResMII:   resMII,
-			RecMII:   recMII,
-			Strategy: strat,
-			Stats:    st.stats,
-		}
-	}
-	st.iiBuf = candidateIIs(st.iiBuf, mii, maxII)
-	for _, ii := range st.iiBuf {
-		st.stats.Attempts++
-		st.ordinal = st.stats.Attempts
-		if st.tryII(ii) {
-			return finish(ii), nil
-		}
-		st.reset()
-	}
-	if ii := st.compactSchedule(mii, maxII); ii >= 0 {
-		return finish(ii), nil
-	}
-	return nil, fmt.Errorf("%w: %q on %s (MII=%d, maxII=%d)", ErrNoSchedule, l.Name, cfg.Name, mii, maxII)
+	return certify(ctx, st, s), nil
 }
 
 // compactSchedule runs the compact fallbacks, for the rare loops whose
@@ -319,30 +251,27 @@ func scheduleSingle(st *state, l *ir.Loop, cfg machine.Config, opts Options, str
 // vacuous at the price of fewer FUs: first an adjacent pair, then one
 // cluster — at maxII the single-cluster attempt cannot fail, so every
 // valid loop schedules on every valid machine. The II cost shows up
-// honestly in the experiment statistics. It returns the achieved II, or -1
-// on a single-cluster machine (where no fallback exists).
-func (st *state) compactSchedule(mii, maxII int) int {
+// honestly in the experiment statistics. Placement follows the subset's
+// positional order, so strat only labels the attempts. Ordinals continue
+// from ordinal, the number of rungs the free ladder walked, so the
+// fallback searches at the budget multiplier a full ladder reached. It
+// returns the achieved II, or -1 on a single-cluster machine (where no
+// fallback exists).
+func (st *state) compactSchedule(strat Strategy, mii, maxII, ordinal int) int {
 	if st.cfg.NumClusters() <= 1 {
 		return -1
 	}
-	subsets := [][]int{{0, 1}, {0}}
-	for _, allowed := range subsets {
+	for _, allowed := range [][]int{{0, 1}, {0}} {
 		sub, err := resMIISubset(st.orig, st.cfg, allowed)
 		if err != nil {
 			continue
 		}
-		if sub < mii {
-			sub = mii
-		}
-		st.iiBuf = candidateIIs(st.iiBuf, sub, maxII)
+		st.iiBuf = candidateIIs(st.iiBuf, max(sub, mii), maxII)
 		for _, ii := range st.iiBuf {
-			st.stats.Attempts++
-			st.ordinal = st.stats.Attempts
-			st.allowed = allowed
-			if st.tryII(ii) {
+			ordinal++
+			if st.attempt(strat, allowed, ordinal, ii) {
 				return ii
 			}
-			st.reset()
 		}
 	}
 	return -1

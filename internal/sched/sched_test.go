@@ -190,6 +190,37 @@ func TestMoveExtensionInsertsMovesOnly(t *testing.T) {
 	}
 }
 
+// TestMovesInsertedMatchesSchedule: Stats.MovesInserted counts the move
+// operations of the returned schedule on every tier, not the moves of
+// attempts the ladder threw away.
+func TestMovesInsertedMatchesSchedule(t *testing.T) {
+	cfg := machine.Clustered(6)
+	cfg.AllowMoves = true
+	loops := corpus.Standard()
+	for _, e := range []Effort{EffortFast, EffortBalanced, EffortExhaustive, EffortOptimal} {
+		total := 0
+		for _, l := range loops {
+			s, err := ScheduleLoop(l, cfg, Options{Effort: e})
+			if err != nil {
+				t.Fatalf("%s %v: %v", l.Name, e, err)
+			}
+			moves := 0
+			for _, op := range s.Loop.Ops {
+				if op.Kind == ir.KMove {
+					moves++
+				}
+			}
+			if s.Stats.MovesInserted != moves {
+				t.Errorf("%s %v: Stats.MovesInserted = %d, schedule holds %d moves", l.Name, e, s.Stats.MovesInserted, moves)
+			}
+			total += moves
+		}
+		if total == 0 {
+			t.Fatalf("%v: no loop needed a move; the check is vacuous", e)
+		}
+	}
+}
+
 func TestStageCount(t *testing.T) {
 	l := corpus.Daxpy()
 	s := mustSchedule(t, l, machine.SingleCluster(12))

@@ -60,26 +60,6 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", uint8(s))
 }
 
-// ParseStrategy maps a strategy name (as printed by Strategy.String) back
-// to its value. The error lists the valid names sorted, so surfacing it
-// verbatim gives a client an actionable message.
-func ParseStrategy(name string) (Strategy, error) {
-	for s, n := range strategyNames {
-		if n == name {
-			return Strategy(s), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown strategy %q (valid: %s)", name, strings.Join(StrategyNames(), ", "))
-}
-
-// StrategyNames returns every strategy name, sorted.
-func StrategyNames() []string {
-	out := make([]string, 0, NumStrategies)
-	out = append(out, strategyNames[:]...)
-	sort.Strings(out)
-	return out
-}
-
 // clusterPref orders one cluster candidate by a strategy-specific key
 // vector: smaller k1 first, then k2, then k3, then cluster index. Every
 // strategy is expressed as a key assignment, so one insertion sort serves
